@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -71,8 +72,7 @@ def _load_pair(path_a: str, path_b: str):
 
 
 def _compare_doc(a, b, k: int, problem: str) -> dict:
-    classical = run_decision(a, b, k, "classical", problem)
-    cohom = run_decision(a, b, k, "cohomological", problem)
+    classical, cohom = run_decision(a, b, k, "cohomological", problem)
     return {
         "classical": classical.to_dict(),
         "cohomological": cohom.to_dict(),
@@ -92,7 +92,7 @@ def _cmd_decide(args, problem: str) -> int:
         verdict = doc["cohomological"]["verdict"] if args.method == "cohomological" \
             else doc["classical"]["verdict"]
         return 0 if verdict == "accept" else 1
-    report = run_decision(a, b, args.k, args.method, problem)
+    report = run_decision(a, b, args.k, args.method, problem)[-1]
     _write_output(report.to_json(), args.out)
     return 0 if report.accepted else 1
 
@@ -160,7 +160,7 @@ def _bench_row(row: dict) -> dict:
         a, b = _load_pair(row["a"], row["b"])
         report = run_decision(a, b, int(row.get("k", 3)),
                               row.get("method", "cohomological"),
-                              row.get("problem", "csp"))
+                              row.get("problem", "csp"))[-1]
         out.update({"verdict": report.verdict,
                     "iterations": report.iterations,
                     "max_rows": report.max_system["rows"],
@@ -285,6 +285,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, StructureFormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # no verdict: exit 2, since 1 would mean reject
+        traceback.print_exc()
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

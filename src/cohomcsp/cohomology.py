@@ -7,8 +7,9 @@ context U, agreeing under restriction, with r_C = s exactly.  Compatibility of
 such a family is a sparse homogeneous linear system over Z (one equation per
 codimension-1 inclusion and target section); pinning s turns membership into
 an integer feasibility problem.  Sections that are not Z-extendable cannot be
-part of any global section, so the decision procedures remove them, re-run
-the classical closure, and iterate to a greatest fixpoint.
+part of any global section, so the decision procedure starts from the
+classical fixpoint, removes them, re-runs the classical closure, and iterates
+to a greatest fixpoint.
 
 Restrictions compose, so compatibility constraints are generated only for
 codimension-1 inclusions; agreement along those implies agreement for all
@@ -42,19 +43,20 @@ class ZLinearSection:
 
 @dataclass
 class CompatibilitySystem:
-    """Sparse linear system expressing global compatibility, pinned at one section.
+    """Sparse linear system expressing global compatibility, optionally pinned.
 
-    Variables are the stored sections outside the pinned context (the pinned
-    context's coefficients are substituted with the indicator of the pinned
-    section).  Each row states that the combination at a context restricts to
-    the combination at a codimension-1 sub-context.
+    Variables are the stored sections, except those at the pinned context when
+    there is a pin (their coefficients are substituted with the indicator of
+    the pinned section).  Each row states that the combination at a context
+    restricts to the combination at a codimension-1 sub-context.  Without a
+    pin the system is homogeneous.
     """
 
     variables: list[LocalSection]
     var_of: dict[LocalSection, int]
     rows: list[dict[int, int]]
     rhs: list[int]
-    pin: tuple[Context, LocalSection]
+    pin: Optional[tuple[Context, LocalSection]]
 
     @property
     def n_rows(self) -> int:
@@ -65,20 +67,10 @@ class CompatibilitySystem:
         return len(self.variables)
 
 
-def _ordered_sections(s_set: SectionSet, skip: Optional[Context] = None
-                      ) -> list[LocalSection]:
-    out = []
-    for c in s_set.contexts():
-        if skip is not None and c == skip:
-            continue
-        out.extend(sorted(s_set.sections[c], key=lambda s: s.values))
-    return out
-
-
 def build_compatibility_system(s_set: SectionSet,
-                               pin: tuple[Context, LocalSection]
+                               pin: Optional[tuple[Context, LocalSection]] = None
                                ) -> CompatibilitySystem:
-    """Build the pinned compatibility system for Z-extendability of pin[1].
+    """Build the compatibility system, pinned for Z-extendability of pin[1].
 
     For every codimension-1 inclusion C' of C and every s' stored at C' there
     is one equation: the coefficients of the sections at C restricting to s'
@@ -86,10 +78,11 @@ def build_compatibility_system(s_set: SectionSet,
     (1 for the pinned section, 0 for its siblings), which moves to the
     right-hand side.
     """
-    pin_ctx, pin_sec = pin
-    if pin_sec.domain != pin_ctx or pin_sec not in s_set:
+    pin_ctx, pin_sec = pin if pin is not None else (None, None)
+    if pin is not None and (pin_sec.domain != pin_ctx or pin_sec not in s_set):
         raise ValueError("pinned section is not stored in the section set")
-    variables = _ordered_sections(s_set, skip=pin_ctx)
+    variables = [s for c in s_set.contexts() if c != pin_ctx
+                 for s in sorted(s_set.sections[c], key=lambda s: s.values)]
     var_of = {s: i for i, s in enumerate(variables)}
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
@@ -182,28 +175,6 @@ class _SweepStats:
         self.max_cols = max(self.max_cols, cols)
 
 
-def _homogeneous_rows(s_set: SectionSet, var_of: dict[LocalSection, int]
-                      ) -> list[dict[int, int]]:
-    rows: list[dict[int, int]] = []
-    for c in s_set.contexts():
-        if not c:
-            continue
-        for i in range(len(c)):
-            sub = c[:i] + c[i + 1:]
-            groups: dict[LocalSection, dict[int, int]] = {}
-            for s in s_set.sections[c]:
-                r = restrict(s, sub)
-                row = groups.setdefault(r, {})
-                v = var_of[s]
-                row[v] = row.get(v, 0) + 1
-            for sp in sorted(s_set.sections[sub], key=lambda s: s.values):
-                row = dict(groups.get(sp, {}))
-                v = var_of[sp]
-                row[v] = row.get(v, 0) - 1
-                rows.append(row)
-    return rows
-
-
 def _zext_sweep(s_set: SectionSet, stats: _SweepStats
                 ) -> Optional[list[LocalSection]]:
     """Find the stored sections that are not Z-extendable in s_set.
@@ -219,11 +190,10 @@ def _zext_sweep(s_set: SectionSet, stats: _SweepStats
     (C, s) is feasible iff the indicator of s lies in the kernel's projection
     onto the coordinates of S(C), so all pins at one context share a lattice.
     """
-    items = _ordered_sections(s_set)
-    var_of = {s: i for i, s in enumerate(items)}
-    rows = _homogeneous_rows(s_set, var_of)
-    stats.record(len(rows), len(items))
-    ech = SparseEchelon(len(items), rows, track_combos=True)
+    system = build_compatibility_system(s_set)
+    var_of = system.var_of
+    stats.record(system.n_rows, system.n_vars)
+    ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
     basis = ech.kernel_basis()
 
     empty_sec = LocalSection((), (), s_set.kind)
@@ -270,15 +240,29 @@ def _zext_sweep(s_set: SectionSet, stats: _SweepStats
     return failures
 
 
-def _run_cohom_fixpoint(s_set: SectionSet, bi_directional: bool,
+# section kind -> report key for the classical check's removals
+_CHECK_LABEL = {"hom": "forth", "isom": "bijforth"}
+
+
+def _classical(s_set: SectionSet, log: list[dict]) -> SectionSet:
+    """The classical fixpoint of the set's kind: k-consistency or k-WL."""
+    fixpoint = wl_fixpoint if s_set.kind == "isom" else classical_fixpoint
+    return fixpoint(s_set, log)
+
+
+def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
                         removed_log: list[dict], stats: _SweepStats
                         ) -> SectionSet:
-    label = "bijforth" if bi_directional else "forth"
-    pre: list[dict] = []
-    if bi_directional:
-        t = wl_fixpoint(s_set, pre)
-    else:
-        t = classical_fixpoint(s_set, pre)
+    """Continue from the classical fixpoint t, whose per-round removals are
+    `pre`, to the cohomological one.
+
+    The classical fixpoint (flasque for kind=hom, bijective forth for
+    kind=isom) is logged as iteration 0.  Each later iteration removes the
+    sections that are not Z-extendable (Z-bi-extendable for isomorphisms) and
+    re-runs the classical fixpoint.  t is modified in place.
+    """
+    bi_directional = t.kind == "isom"
+    label = _CHECK_LABEL[t.kind]
     removed_log.append({
         "iteration": 0,
         label: sum(e["forth"] for e in pre),
@@ -313,10 +297,7 @@ def _run_cohom_fixpoint(s_set: SectionSet, bi_directional: bool,
         removed = _remove_and_close(t, set(failures))
         closure = len(removed) - len(failures)
         post: list[dict] = []
-        if bi_directional:
-            t = wl_fixpoint(t, post)
-        else:
-            t = classical_fixpoint(t, post)
+        t = _classical(t, post)
         removed_log.append({
             "iteration": iteration,
             "zext": len(failures),
@@ -327,15 +308,22 @@ def _run_cohom_fixpoint(s_set: SectionSet, bi_directional: bool,
     return t
 
 
+def _cohom_fixpoint(s_set: SectionSet, removed_log: Optional[list[dict]],
+                    stats: Optional[_SweepStats]) -> SectionSet:
+    pre: list[dict] = []
+    t = _classical(s_set, pre)
+    return _run_cohom_fixpoint(t, pre,
+                               removed_log if removed_log is not None else [],
+                               stats if stats is not None else _SweepStats())
+
+
 def cohom_consistency_fixpoint(s_set: SectionSet,
                                removed_log: Optional[list[dict]] = None,
                                stats: Optional[_SweepStats] = None) -> SectionSet:
     """Greatest fixpoint removing forth failures and non-Z-extendable sections."""
     if s_set.kind != "hom":
         raise ValueError("cohom_consistency_fixpoint expects kind=hom")
-    return _run_cohom_fixpoint(s_set, False,
-                               removed_log if removed_log is not None else [],
-                               stats if stats is not None else _SweepStats())
+    return _cohom_fixpoint(s_set, removed_log, stats)
 
 
 def cohom_wl_fixpoint(s_set: SectionSet,
@@ -345,11 +333,7 @@ def cohom_wl_fixpoint(s_set: SectionSet,
     are not Z-bi-extendable."""
     if s_set.kind != "isom":
         raise ValueError("cohom_wl_fixpoint expects kind=isom")
-    if s_set.a.size != s_set.b.size:
-        raise ValueError("cohom_wl_fixpoint requires equal universe sizes")
-    return _run_cohom_fixpoint(s_set, True,
-                               removed_log if removed_log is not None else [],
-                               stats if stats is not None else _SweepStats())
+    return _cohom_fixpoint(s_set, removed_log, stats)
 
 
 # --- decision procedures with reports ----------------------------------------
@@ -412,72 +396,40 @@ def _finish_report(method: str, k: int, t: SectionSet, removed_log: list[dict],
     )
 
 
-def decide_cohom_k_consistency(a: Structure, b: Structure, k: int) -> DecisionReport:
-    """Accept iff the cohomological k-consistency fixpoint is non-empty."""
-    t0 = time.perf_counter()
-    s = enumerate_sections(a, b, k, "hom")
-    removed_log: list[dict] = []
-    stats = _SweepStats()
-    t = cohom_consistency_fixpoint(s, removed_log, stats)
-    return _finish_report("cohom-consistency", k, t, removed_log, stats, t0)
-
-
-def decide_cohom_k_wl(a: Structure, b: Structure, k: int) -> DecisionReport:
-    """Accept iff the cohomological k-WL fixpoint is non-empty."""
-    t0 = time.perf_counter()
-    if a.size != b.size:
-        empty = SectionSet(a, b, k, "isom")
-        return _finish_report("cohom-wl", k, empty, [], _SweepStats(), t0,
-                              reason="size")
-    s = enumerate_sections(a, b, k, "isom")
-    removed_log: list[dict] = []
-    stats = _SweepStats()
-    t = cohom_wl_fixpoint(s, removed_log, stats)
-    return _finish_report("cohom-wl", k, t, removed_log, stats, t0)
-
-
-def decide_classical_consistency(a: Structure, b: Structure, k: int) -> DecisionReport:
-    t0 = time.perf_counter()
-    s = enumerate_sections(a, b, k, "hom")
-    pre: list[dict] = []
-    t = classical_fixpoint(s, pre)
-    log = [{"iteration": i + 1, "forth": e["forth"], "closure": e["closure"],
-            "zext": 0} for i, e in enumerate(pre)]
-    rep = _finish_report("classical-consistency", k, t, log, _SweepStats(), t0)
-    rep.iterations = len(pre)
-    return rep
-
-
-def decide_classical_wl(a: Structure, b: Structure, k: int) -> DecisionReport:
-    t0 = time.perf_counter()
-    if a.size != b.size:
-        empty = SectionSet(a, b, k, "isom")
-        return _finish_report("classical-wl", k, empty, [], _SweepStats(), t0,
-                              reason="size")
-    s = enumerate_sections(a, b, k, "isom")
-    pre: list[dict] = []
-    t = wl_fixpoint(s, pre)
-    log = [{"iteration": i + 1, "bijforth": e["forth"], "closure": e["closure"],
-            "zext": 0} for i, e in enumerate(pre)]
-    rep = _finish_report("classical-wl", k, t, log, _SweepStats(), t0)
-    rep.iterations = len(pre)
-    return rep
+# problem -> (section kind, method-name suffix)
+_PROBLEMS = {"csp": ("hom", "consistency"), "iso": ("isom", "wl")}
 
 
 def run_decision(a: Structure, b: Structure, k: int, method: str,
-                 problem: str) -> DecisionReport:
-    """Dispatch to one of the four decision procedures.
+                 problem: str) -> list[DecisionReport]:
+    """Decide one instance by k-consistency (problem "csp") or k-WL ("iso").
 
-    method is "classical" or "cohomological"; problem is "csp" or "iso".
+    method is "classical" or "cohomological".  Returns [classical] or
+    [classical, cohomological]; the last report carries the verdict of the
+    requested method.  The cohomological run starts from the classical
+    fixpoint (its iteration 0), so both reports come from one enumeration and
+    one classical fixpoint.
     """
-    if problem == "csp":
-        if method == "classical":
-            return decide_classical_consistency(a, b, k)
-        if method == "cohomological":
-            return decide_cohom_k_consistency(a, b, k)
-    elif problem == "iso":
-        if method == "classical":
-            return decide_classical_wl(a, b, k)
-        if method == "cohomological":
-            return decide_cohom_k_wl(a, b, k)
-    raise ValueError(f"unknown method/problem combination {method!r}/{problem!r}")
+    if problem not in _PROBLEMS or method not in ("classical", "cohomological"):
+        raise ValueError(
+            f"unknown method/problem combination {method!r}/{problem!r}")
+    kind, suffix = _PROBLEMS[problem]
+    methods = ["classical-" + suffix]
+    if method == "cohomological":
+        methods.append("cohom-" + suffix)
+    t0 = time.perf_counter()
+    if kind == "isom" and a.size != b.size:
+        empty = SectionSet(a, b, k, kind)
+        return [_finish_report(m, k, empty, [], _SweepStats(), t0, reason="size")
+                for m in methods]
+    pre: list[dict] = []
+    t = _classical(enumerate_sections(a, b, k, kind), pre)
+    log = [{"iteration": i + 1, _CHECK_LABEL[kind]: e["forth"],
+            "closure": e["closure"], "zext": 0} for i, e in enumerate(pre)]
+    reports = [_finish_report(methods[0], k, t, log, _SweepStats(), t0)]
+    if method == "cohomological":
+        removed_log: list[dict] = []
+        stats = _SweepStats()
+        t = _run_cohom_fixpoint(t, pre, removed_log, stats)
+        reports.append(_finish_report(methods[1], k, t, removed_log, stats, t0))
+    return reports

@@ -156,10 +156,6 @@ class AffineSystem:
                 if not (0 <= v < self.variables):
                     raise ValueError(f"variable index {v} out of range")
 
-    @property
-    def max_arity(self) -> int:
-        return max((len(idx) for _, idx, _ in self.equations), default=0)
-
     def satisfied_by(self, assignment: Sequence[int]) -> bool:
         return all(sum(c * assignment[v] for c, v in zip(coeffs, idx)) % self.q
                    == b % self.q

@@ -16,10 +16,10 @@ literature calls (k-1)-WL.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .matching import has_perfect_matching
-from .structures import LocalSection, Structure, is_partial_hom, is_partial_iso
+from .structures import LocalSection, Structure
 
 Context = tuple[int, ...]
 
@@ -62,10 +62,6 @@ class SectionSet:
         got = self.sections.get(s.domain)
         return got is not None and s in got
 
-    def __iter__(self) -> Iterator[LocalSection]:
-        for c in self.contexts():
-            yield from sorted(self.sections[c], key=lambda s: s.values)
-
     def total(self) -> int:
         return sum(len(v) for v in self.sections.values())
 
@@ -100,18 +96,6 @@ class SectionSet:
             hit = (context[:pos] + (a,) + context[pos:], pos)
             self._ext_cache[key] = hit
         return hit
-
-    def check_invariants(self) -> list[str]:
-        """Debug helper: report any stored section violating the set's contract."""
-        problems = []
-        check = is_partial_hom if self.kind == "hom" else is_partial_iso
-        for c, secs in self.sections.items():
-            for s in secs:
-                if s.domain != c:
-                    problems.append(f"section {s} stored under context {c}")
-                if not check(s, self.a, self.b):
-                    problems.append(f"section {s} is not a partial {self.kind}")
-        return problems
 
 
 def restrict(s: LocalSection, context: Context) -> LocalSection:
@@ -362,15 +346,3 @@ def wl_fixpoint(s_set: SectionSet,
     if s_set.a.size != s_set.b.size:
         raise ValueError("wl_fixpoint requires equal universe sizes")
     return _fixpoint(s_set, bij_forth_holds, stats)
-
-
-def decide_k_consistency(a: Structure, b: Structure, k: int) -> bool:
-    """True iff the k-consistency fixpoint over all k-local homomorphisms is non-empty."""
-    return not classical_fixpoint(enumerate_sections(a, b, k, "hom")).is_empty()
-
-
-def decide_k_wl(a: Structure, b: Structure, k: int) -> bool:
-    """True iff the k-Weisfeiler-Leman fixpoint over k-local isomorphisms is non-empty."""
-    if a.size != b.size:
-        raise ValueError("k-WL equivalence requires equal universe sizes")
-    return not wl_fixpoint(enumerate_sections(a, b, k, "isom")).is_empty()

@@ -31,19 +31,9 @@ class Signature:
             if arity < 1:
                 raise StructureFormatError(f"symbol {name!r} has arity {arity} < 1")
 
-    def arity(self, name: str) -> int:
-        for sym, ar in self.symbols:
-            if sym == name:
-                return ar
-        raise KeyError(name)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
-
-    @property
-    def max_arity(self) -> int:
-        return max((ar for _, ar in self.symbols), default=0)
 
 
 @dataclass(frozen=True)
@@ -120,9 +110,6 @@ class LocalSection:
 
     def mapping(self) -> dict[int, int]:
         return dict(zip(self.domain, self.values))
-
-    def value_of(self, a: int) -> int:
-        return self.values[self.domain.index(a)]
 
     def inverse(self) -> "LocalSection":
         """Swap domain and values (only meaningful for injective sections)."""
@@ -293,25 +280,30 @@ def structure_to_json(s: Structure) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _json_int(value, what: str) -> int:
+    """value itself if it is a JSON integer; floats and booleans are refused."""
+    if type(value) is not int:
+        raise StructureFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def structure_from_json(text: str) -> Structure:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureFormatError(f"invalid JSON: {e}") from e
     try:
-        sig = Signature(tuple((d["name"], int(d["arity"])) for d in doc["signature"]))
-        size = int(doc["size"])
-        rels = {name: [tuple(int(x) for x in t) for t in ts]
+        sig = Signature(tuple((d["name"], _json_int(d["arity"], "arity"))
+                              for d in doc["signature"]))
+        size = _json_int(doc["size"], "size")
+        rels = {name: [tuple(_json_int(x, "tuple entry") for x in t) for t in ts]
                 for name, ts in doc.get("relations", {}).items()}
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, AttributeError) as e:
         raise StructureFormatError(f"malformed structure document: {e}") from e
     for name in rels:
         if name not in sig.names:
             raise StructureFormatError(f"relation {name!r} not declared in signature")
-    try:
-        return Structure.make(sig, size, rels)
-    except StructureFormatError:
-        raise
+    return Structure.make(sig, size, rels)
 
 
 def load_structure(path: str) -> Structure:

@@ -37,6 +37,23 @@ def random_structure(rng: random.Random, size: int, signature=BIN_SIG,
     return Structure.make(signature, size, relations)
 
 
+# structure documents the loader must refuse, by defect
+MALFORMED_DOCS = {
+    "relations not an object":
+        '{"signature":[{"name":"E","arity":2}],"size":3,"relations":[[0,1]]}',
+    "float size":
+        '{"signature":[{"name":"E","arity":2}],"size":2.9,"relations":{"E":[]}}',
+    "float entry":
+        '{"signature":[{"name":"E","arity":2}],"size":3,"relations":{"E":[[0,1.7]]}}',
+    "bool entry":
+        '{"signature":[{"name":"E","arity":2}],"size":3,"relations":{"E":[[0,true]]}}',
+    "bool size":
+        '{"signature":[{"name":"E","arity":2}],"size":true,"relations":{"E":[]}}',
+    "float arity":
+        '{"signature":[{"name":"E","arity":2.0}],"size":3,"relations":{"E":[]}}',
+}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

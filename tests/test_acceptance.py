@@ -15,7 +15,7 @@ from cohomcsp import (IntMatrix, affine_solvable_brute, affine_to_instance,
                       brute_force_iso, cfi_structure, det_bareiss,
                       hermite_normal_form, named_graph, random_instances,
                       solve_diophantine, tseitin_system, zero_twist, CfiSpec,
-                      Structure, decide_cohom_k_consistency)
+                      Structure, run_decision)
 from cohomcsp.cli import _compare_doc
 from cohomcsp.generators import flow_system
 from conftest import BIN_SIG, random_structure
@@ -246,12 +246,12 @@ def test_criterion_6_transitivity():
             a = random_structure(rng, rng.randint(1, 4))
             b = random_structure(rng, rng.randint(1, 4))
             c = random_structure(rng, rng.randint(1, 4))
-        if not decide_cohom_k_consistency(a, b, k).accepted:
+        if not run_decision(a, b, k, "cohomological", "csp")[-1].accepted:
             continue
-        if not decide_cohom_k_consistency(b, c, k).accepted:
+        if not run_decision(b, c, k, "cohomological", "csp")[-1].accepted:
             continue
         applicable += 1
-        if not decide_cohom_k_consistency(a, c, k).accepted:
+        if not run_decision(a, c, k, "cohomological", "csp")[-1].accepted:
             counterexamples += 1
     ok = counterexamples == 0 and applicable > 20
     report_line(6, ok, f"200 triples, {applicable} with both hops accepted, "

@@ -2,10 +2,11 @@ import json
 import re
 
 import jsonschema
+import pytest
 
 from cohomcsp import save_structure
 from cohomcsp.cli import REPORT_SCHEMA, main
-from conftest import complete_structure, cycle_structure
+from conftest import MALFORMED_DOCS, complete_structure, cycle_structure
 
 
 def run(argv, capsys):
@@ -55,6 +56,26 @@ def test_decide_iso_size_mismatch_rejects(tmp_path, capsys):
     code, out, _ = run(["decide-iso", pa, pb, "--k", "2"], capsys)
     assert code == 1
     assert json.loads(out)["reason"] == "size"
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+def test_decide_malformed_structure_exits_2(tmp_path, capsys, name):
+    _, pb = write_pair(tmp_path, cycle_structure(4), complete_structure(2))
+    pa = tmp_path / "bad.json"
+    pa.write_text(MALFORMED_DOCS[name])
+    code, _, err = run(["decide-csp", str(pa), pb, "--k", "2"], capsys)
+    assert code == 2 and "error" in err
+
+
+def test_unexpected_exception_exits_2(tmp_path, capsys, monkeypatch):
+    """A run that ends in an exception reached no verdict: exit 2, never 1."""
+    def boom(*args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr("cohomcsp.cli.run_decision", boom)
+    pa, pb = write_pair(tmp_path, cycle_structure(4), complete_structure(2))
+    for extra in ([], ["--compare"]):
+        code, _, err = run(["decide-csp", pa, pb, "--k", "2"] + extra, capsys)
+        assert code == 2 and "RuntimeError: boom" in err
 
 
 def test_identical_files_accept(tmp_path, capsys):

@@ -6,10 +6,8 @@ from cohomcsp import (AffineSystem, LocalSection,
                       affine_to_instance, brute_force_hom,
                       build_compatibility_system, classical_fixpoint,
                       cohom_consistency_fixpoint, cohom_wl_fixpoint,
-                      decide_cohom_k_consistency, decide_cohom_k_wl,
-                      decide_classical_wl,
-                      decide_k_consistency, enumerate_sections,
-                      invert_section_set, is_partial_iso, restrict,
+                      enumerate_sections, invert_section_set, is_partial_iso,
+                      restrict, run_decision,
                       tseitin_system, named_graph, wl_fixpoint, z_bi_extendable,
                       z_extendable, z_linear_witness)
 from cohomcsp.cohomology import _SweepStats, _zext_sweep
@@ -195,25 +193,25 @@ def test_unsolvable_z2_affine_rejected_k3():
     from cohomcsp import affine_solvable_brute
     assert not affine_solvable_brute(sys_bad)
     a, b = affine_to_instance(sys_bad)
-    rep = decide_cohom_k_consistency(a, b, 3)
+    rep = run_decision(a, b, 3, "cohomological", "csp")[-1]
     assert rep.verdict == "reject"
 
 
 def test_decide_cohom_reflexive_and_z4():
     a = cycle_structure(4)
-    assert decide_cohom_k_consistency(a, a, 2).verdict == "accept"
+    assert run_decision(a, a, 2, "cohomological", "csp")[-1].verdict == "accept"
     # solvable and unsolvable Z4 instances with 3 variables per equation
     from cohomcsp import affine_solvable_brute, random_instances
     solvable = next(random_instances(5, "affine", count=1, q=4, nvars=6,
                                      neqs=7, planted=True))
     assert affine_solvable_brute(solvable)
     sa, sb = affine_to_instance(solvable)
-    assert decide_cohom_k_consistency(sa, sb, 3).verdict == "accept"
+    assert run_decision(sa, sb, 3, "cohomological", "csp")[-1].verdict == "accept"
     from cohomcsp.generators import flow_system
     bad = flow_system(named_graph("k4"), 4, {0: 1})
     assert not affine_solvable_brute(bad)
     ba, bb = affine_to_instance(bad)
-    rep = decide_cohom_k_consistency(ba, bb, 3)
+    rep = run_decision(ba, bb, 3, "cohomological", "csp")[-1]
     assert rep.verdict == "reject"
     assert rep.iterations == 1
     assert rep.removed[-1]["zext"] == rep.removed[0]["remaining"]
@@ -223,9 +221,9 @@ def test_cohom_wl_accept_implies_both_consistencies(rng):
     for _ in range(6):
         a = random_structure(rng, 3)
         b = random_structure(rng, 3)
-        if decide_cohom_k_wl(a, b, 2).accepted:
-            assert decide_cohom_k_consistency(a, b, 2).accepted
-            assert decide_cohom_k_consistency(b, a, 2).accepted
+        if run_decision(a, b, 2, "cohomological", "iso")[-1].accepted:
+            assert run_decision(a, b, 2, "cohomological", "csp")[-1].accepted
+            assert run_decision(b, a, 2, "cohomological", "csp")[-1].accepted
 
 
 def test_rejection_sound_vs_brute(rng):
@@ -233,7 +231,7 @@ def test_rejection_sound_vs_brute(rng):
         a = random_structure(rng, rng.randint(1, 4))
         b = random_structure(rng, rng.randint(1, 3))
         for k in (2, 3):
-            rep = decide_cohom_k_consistency(a, b, k)
+            rep = run_decision(a, b, k, "cohomological", "csp")[-1]
             if rep.verdict == "reject":
                 assert brute_force_hom(a, b).status == "none"
 
@@ -242,10 +240,10 @@ def test_refinement_and_k_monotonicity(rng):
     for _ in range(10):
         a = random_structure(rng, 3)
         b = random_structure(rng, 3)
-        acc = {k: decide_cohom_k_consistency(a, b, k).accepted for k in (1, 2, 3)}
+        acc = {k: run_decision(a, b, k, "cohomological", "csp")[-1].accepted for k in (1, 2, 3)}
         for k in (1, 2, 3):
             if acc[k]:
-                assert decide_k_consistency(a, b, k)
+                assert run_decision(a, b, k, "classical", "csp")[-1].accepted
         assert not (acc[3] and not acc[2])
         assert not (acc[2] and not acc[1])
 
@@ -254,16 +252,16 @@ def test_report_verdict_matches_survivors(rng):
     for _ in range(10):
         a = random_structure(rng, rng.randint(1, 3))
         b = random_structure(rng, rng.randint(1, 3))
-        rep = decide_cohom_k_consistency(a, b, 2)
+        rep = run_decision(a, b, 2, "cohomological", "csp")[-1]
         assert rep.accepted == (rep.sections_remaining > 0)
 
 
 def test_size_mismatch_iso_reject_with_reason():
     a = complete_structure(3)
     b = complete_structure(4)
-    rep = decide_cohom_k_wl(a, b, 2)
+    rep = run_decision(a, b, 2, "cohomological", "iso")[-1]
     assert rep.verdict == "reject" and rep.reason == "size"
-    rep2 = decide_classical_wl(a, b, 2)
+    rep2 = run_decision(a, b, 2, "classical", "iso")[-1]
     assert rep2.verdict == "reject" and rep2.reason == "size"
 
 
@@ -314,8 +312,8 @@ def test_cohom_wl_symmetric_verdicts(rng):
     for _ in range(8):
         a = random_structure(rng, 3)
         b = random_structure(rng, 3)
-        assert decide_cohom_k_wl(a, b, 2).accepted == \
-               decide_cohom_k_wl(b, a, 2).accepted
+        assert run_decision(a, b, 2, "cohomological", "iso")[-1].accepted == \
+               run_decision(b, a, 2, "cohomological", "iso")[-1].accepted
 
 
 def test_transitivity_small_sample(rng):
@@ -324,6 +322,6 @@ def test_transitivity_small_sample(rng):
         b = random_structure(rng, rng.randint(1, 3))
         a = random_structure(rng, rng.randint(1, 3))
         k = rng.choice((2, 3))
-        if decide_cohom_k_consistency(a, b, k).accepted and \
-           decide_cohom_k_consistency(b, c, k).accepted:
-            assert decide_cohom_k_consistency(a, c, k).accepted
+        if run_decision(a, b, k, "cohomological", "csp")[-1].accepted and \
+           run_decision(b, c, k, "cohomological", "csp")[-1].accepted:
+            assert run_decision(a, c, k, "cohomological", "csp")[-1].accepted

@@ -5,9 +5,9 @@ import pytest
 
 from cohomcsp import (LocalSection, SectionSet, all_contexts, bij_forth_holds,
                       brute_force_hom, brute_force_iso, classical_fixpoint,
-                      decide_k_consistency, decide_k_wl, downward_close,
-                      enumerate_sections, forth_holds, is_partial_hom,
-                      is_partial_iso, remove_with_upset, restrict, wl_fixpoint)
+                      downward_close, enumerate_sections, forth_holds,
+                      is_partial_hom, is_partial_iso, remove_with_upset,
+                      restrict, run_decision, wl_fixpoint)
 from conftest import (complete_structure, cycle_structure,
                       graph_structure, random_structure)
 
@@ -126,13 +126,13 @@ def test_downward_close():
 
 def test_classical_fixpoint_examples():
     k2 = complete_structure(2)
-    assert decide_k_consistency(cycle_structure(3), k2, 3) is False
-    assert decide_k_consistency(cycle_structure(4), k2, 2) is True
+    assert run_decision(cycle_structure(3), k2, 3, "classical", "csp")[-1].accepted is False
+    assert run_decision(cycle_structure(4), k2, 2, "classical", "csp")[-1].accepted is True
     # classical incompleteness witness: odd cycle accepted at k=2
     assert brute_force_hom(cycle_structure(5), k2).status == "none"
-    assert decide_k_consistency(cycle_structure(5), k2, 2) is True
+    assert run_decision(cycle_structure(5), k2, 2, "classical", "csp")[-1].accepted is True
     a = cycle_structure(4)
-    assert decide_k_consistency(a, a, 2) is True
+    assert run_decision(a, a, 2, "classical", "csp")[-1].accepted is True
 
 
 def test_classical_fixpoint_sound_vs_brute(rng):
@@ -141,14 +141,14 @@ def test_classical_fixpoint_sound_vs_brute(rng):
         b = random_structure(rng, rng.randint(1, 4))
         if brute_force_hom(a, b).status == "found":
             for k in (1, 2, 3):
-                assert decide_k_consistency(a, b, k), (a, b, k)
+                assert run_decision(a, b, k, "classical", "csp")[-1].accepted, (a, b, k)
 
 
 def test_k_monotonicity(rng):
     for _ in range(15):
         a = random_structure(rng, rng.randint(1, 4))
         b = random_structure(rng, rng.randint(1, 4))
-        verdicts = [decide_k_consistency(a, b, k) for k in (1, 2, 3)]
+        verdicts = [run_decision(a, b, k, "classical", "csp")[-1].accepted for k in (1, 2, 3)]
         for lo, hi in zip(verdicts, verdicts[1:]):
             assert lo or not hi  # accept at k+1 implies accept at k
 
@@ -198,10 +198,10 @@ def test_fixpoint_order_invariance(rng):
 def test_wl_examples():
     d3 = graph_structure(3, [(0, 1), (1, 2), (2, 0)], directed=True)
     p3 = graph_structure(3, [(0, 1), (1, 2)], directed=True)
-    assert decide_k_wl(d3, d3, 2) is True
-    assert decide_k_wl(d3, p3, 2) is False
+    assert run_decision(d3, d3, 2, "classical", "iso")[-1].accepted is True
+    assert run_decision(d3, p3, 2, "classical", "iso")[-1].accepted is False
     with pytest.raises(ValueError):
-        decide_k_wl(d3, complete_structure(4), 2)
+        wl_fixpoint(enumerate_sections(d3, complete_structure(4), 2, "isom"))
 
 
 def test_wl_sound_vs_brute(rng):
@@ -209,5 +209,5 @@ def test_wl_sound_vs_brute(rng):
         a = random_structure(rng, 3)
         b = random_structure(rng, 3)
         if brute_force_iso(a, b).status == "found":
-            assert decide_k_wl(a, b, 2)
-            assert decide_k_wl(a, b, 3)
+            assert run_decision(a, b, 2, "classical", "iso")[-1].accepted
+            assert run_decision(a, b, 3, "classical", "iso")[-1].accepted

@@ -6,8 +6,8 @@ from cohomcsp import (LocalSection, Signature, Structure, StructureFormatError,
                       brute_force_hom, brute_force_iso, is_partial_hom,
                       is_partial_iso, structure_from_json, structure_to_json,
                       validate_structure)
-from conftest import (BIN_SIG, complete_structure, cycle_structure,
-                      graph_structure, random_structure)
+from conftest import (BIN_SIG, MALFORMED_DOCS, complete_structure,
+                      cycle_structure, graph_structure, random_structure)
 
 
 def test_signature_rejects_duplicates_and_bad_arity():
@@ -144,3 +144,11 @@ def test_json_diagnostics():
             '{"signature":[{"name":"E","arity":2}],"size":3,"relations":{"F":[]}}')
     with pytest.raises(StructureFormatError, match="invalid JSON"):
         structure_from_json("{nope")
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+def test_json_refuses_coercion(name):
+    """Only JSON integers (not floats, not booleans) are sizes, arities and
+    tuple entries; nothing is truncated or converted."""
+    with pytest.raises(StructureFormatError):
+        structure_from_json(MALFORMED_DOCS[name])
