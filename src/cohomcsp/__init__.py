@@ -7,15 +7,12 @@ from .structures import (LocalSection, SearchResult, Signature, Structure,
                          save_structure, structure_from_json, structure_to_json,
                          validate_structure)
 from .presheaf import (Context, SectionSet, all_contexts, bij_forth_holds,
-                       classical_fixpoint, downward_close, enumerate_sections,
-                       forth_holds, remove_with_upset, restrict, wl_fixpoint)
-from .intlinalg import (HnfResult, IntLattice, IntMatrix, SparseEchelon,
-                        det_bareiss, dump_system, hermite_normal_form,
-                        solve_diophantine)
-from .cohomology import (CompatibilitySystem, DecisionReport, ZLinearSection,
+                       classical_fixpoint, enumerate_sections, forth_holds,
+                       restrict, wl_fixpoint)
+from .intlinalg import IntLattice, SparseEchelon
+from .cohomology import (CompatibilitySystem, DecisionReport,
                          build_compatibility_system, cohom_consistency_fixpoint,
-                         cohom_wl_fixpoint, invert_section_set, run_decision,
-                         z_bi_extendable, z_extendable, z_linear_witness)
+                         cohom_wl_fixpoint, invert_section_set, run_decision)
 from .generators import (AffineSystem, CfiSpec, OrderedGraph,
                          affine_solvable_brute, affine_solvable_mod,
                          affine_to_instance, cfi_equations, cfi_structure,

@@ -19,7 +19,7 @@ from .cohomology import run_decision
 from .generators import (cfi_structure, affine_to_instance,
                          graph_from_text, graph_to_text, named_graph,
                          random_instances, tseitin_system, zero_twist)
-from .structures import (StructureFormatError, brute_force_hom,
+from .structures import (StructureFormatError, _json_int, brute_force_hom,
                          brute_force_iso, load_structure, save_structure)
 
 REPORT_SCHEMA = {
@@ -115,7 +115,7 @@ def _cmd_gen(args) -> int:
         _write_output(graph_to_text(g), args.out)
         return 0
     if args.family == "cfi":
-        base, _ = _load_graph_file(args.graph)
+        base = _load_graph_file(args.graph)
         spec0 = zero_twist(base, args.q, 0)
         spec1 = zero_twist(base, args.q, args.twist_total)
         save_structure(cfi_structure(spec0), f"{args.out_prefix}_zero.json")
@@ -123,7 +123,7 @@ def _cmd_gen(args) -> int:
                        f"{args.out_prefix}_total{args.twist_total}.json")
         return 0
     if args.family == "tseitin":
-        base, _ = _load_graph_file(args.graph)
+        base = _load_graph_file(args.graph)
         degrees = {base.degree(v) for v in range(base.n)}
         width = max(degrees)
         if args.k is not None and width > args.k:
@@ -157,9 +157,15 @@ def _bench_row(row: dict) -> dict:
                 "method": row.get("method", "cohomological"),
                 "k": row.get("k", 3)})
     try:
+        for key in ("a", "b"):
+            if not isinstance(row[key], str):
+                raise StructureFormatError(
+                    f"{key} must be a path string, got {row[key]!r}")
+        k = _json_int(row.get("k", 3), "k")
+        budget = _json_int(row.get("budget", row.get("default_budget", 10**6)),
+                           "budget")
         a, b = _load_pair(row["a"], row["b"])
-        report = run_decision(a, b, int(row.get("k", 3)),
-                              row.get("method", "cohomological"),
+        report = run_decision(a, b, k, row.get("method", "cohomological"),
                               row.get("problem", "csp"))[-1]
         out.update({"verdict": report.verdict,
                     "iterations": report.iterations,
@@ -167,7 +173,6 @@ def _bench_row(row: dict) -> dict:
                     "max_cols": report.max_system["cols"],
                     "ms": report.ms})
         if row.get("oracle"):
-            budget = int(row.get("budget", row.get("default_budget", 10**6)))
             search = (brute_force_hom if row.get("problem", "csp") == "csp"
                       else brute_force_iso)(a, b, budget)
             out["oracle"] = search.status

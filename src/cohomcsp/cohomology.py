@@ -30,17 +30,6 @@ from .presheaf import (Context, SectionSet, _remove_and_close,
 from .structures import LocalSection, Structure
 
 
-@dataclass(frozen=True)
-class ZLinearSection:
-    """A formal integer combination of the stored sections at one context."""
-
-    context: Context
-    coefficients: tuple[tuple[LocalSection, int], ...]
-
-    def as_dict(self) -> dict[LocalSection, int]:
-        return dict(self.coefficients)
-
-
 @dataclass
 class CompatibilitySystem:
     """Sparse linear system expressing global compatibility, optionally pinned.
@@ -56,7 +45,6 @@ class CompatibilitySystem:
     var_of: dict[LocalSection, int]
     rows: list[dict[int, int]]
     rhs: list[int]
-    pin: Optional[tuple[Context, LocalSection]]
 
     @property
     def n_rows(self) -> int:
@@ -112,32 +100,7 @@ def build_compatibility_system(s_set: SectionSet,
                     row[v] = row.get(v, 0) - 1
                 rows.append(row)
                 rhs.append(-const)
-    return CompatibilitySystem(variables, var_of, rows, rhs, pin)
-
-
-def z_extendable(s_set: SectionSet, s: LocalSection) -> bool:
-    """True iff the compatibility system pinned at s has an integer solution."""
-    system = build_compatibility_system(s_set, (s.domain, s))
-    ech = SparseEchelon(system.n_vars, system.rows)
-    return ech.feasible({i: v for i, v in enumerate(system.rhs) if v})
-
-
-def z_linear_witness(s_set: SectionSet, s: LocalSection
-                     ) -> Optional[dict[Context, ZLinearSection]]:
-    """A global Z-linear section pinning s, or None when s is not Z-extendable."""
-    system = build_compatibility_system(s_set, (s.domain, s))
-    ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
-    x = ech.solve({i: v for i, v in enumerate(system.rhs) if v})
-    if x is None:
-        return None
-    per_ctx: dict[Context, dict[LocalSection, int]] = {
-        c: {} for c in s_set.contexts()}
-    for sec, i in system.var_of.items():
-        per_ctx[sec.domain][sec] = x[i]
-    for sib in s_set.sections[s.domain]:
-        per_ctx[s.domain][sib] = 1 if sib == s else 0
-    return {c: ZLinearSection(c, tuple(sorted(v.items(), key=lambda kv: kv[0].values)))
-            for c, v in per_ctx.items()}
+    return CompatibilitySystem(variables, var_of, rows, rhs)
 
 
 def invert_section_set(s_set: SectionSet) -> SectionSet:
@@ -150,15 +113,6 @@ def invert_section_set(s_set: SectionSet) -> SectionSet:
             inv = s.inverse()
             out.sections[inv.domain].add(inv)
     return out
-
-
-def z_bi_extendable(s_set: SectionSet, s: LocalSection) -> bool:
-    """Z-extendability of s in S together with that of s^-1 in S^-1."""
-    if s_set.kind != "isom":
-        raise ValueError("bi-extendability is defined for isomorphism sets only")
-    if not z_extendable(s_set, s):
-        return False
-    return z_extendable(invert_section_set(s_set), s.inverse())
 
 
 # --- fixpoint machinery ------------------------------------------------------

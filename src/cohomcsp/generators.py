@@ -565,32 +565,23 @@ def _random_regular(rng: random.Random, n: int, d: int) -> OrderedGraph:
 
 # --- graph text format ----------------------------------------------------------
 #
-# First line: n.  Then one `u v` line per edge.  Optional `twist u v value`
-# lines assign twist values to edges.
+# First line: n.  Then one `u v` line per edge.
 
-def graph_to_text(graph: OrderedGraph,
-                  twist: Optional[Mapping[tuple[int, int], int]] = None) -> str:
+def graph_to_text(graph: OrderedGraph) -> str:
     lines = [str(graph.n)]
     lines.extend(f"{u} {v}" for u, v in graph.edge_list())
-    if twist:
-        lines.extend(f"twist {u} {v} {twist[(u, v)]}"
-                     for u, v in sorted(twist))
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> tuple[OrderedGraph, dict[tuple[int, int], int]]:
+def graph_from_text(text: str) -> OrderedGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
     n = int(lines[0])
     edges = []
-    twist: dict[tuple[int, int], int] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "twist":
-            u, v, val = int(parts[1]), int(parts[2]), int(parts[3])
-            twist[tuple(sorted((u, v)))] = val
-        else:
-            u, v = int(parts[0]), int(parts[1])
-            edges.append((u, v))
-    return OrderedGraph.make(n, edges), twist
+        if len(parts) != 2:
+            raise ValueError(f"graph edge line must be two integers: {ln!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    return OrderedGraph.make(n, edges)

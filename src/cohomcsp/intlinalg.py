@@ -1,237 +1,16 @@
-"""Exact integer linear algebra: Hermite normal form, Diophantine systems.
+"""Exact sparse integer linear algebra over arbitrary-precision Python ints.
 
-Everything here works over arbitrary-precision Python ints.  The dense
-routines (`hermite_normal_form`, `solve_diophantine`) implement one fixed
-convention: row-style HNF, pivots positive, entries above a pivot reduced into
-[0, pivot), zero rows last.  The sparse routines back the compatibility-system
-solving in the cohomology engine, where systems are large but each equation
-touches only a handful of variables.
+`SparseEchelon` backs the compatibility-system solving in the cohomology
+engine, where systems are large but each equation touches only a handful of
+variables: integer feasibility, witnesses and kernel bases.  `IntLattice`
+decides membership in the projection of that kernel onto one context.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length must be rows * cols")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        if any(len(r) != n for r in rows):
-            raise ValueError("ragged rows")
-        return IntMatrix(m, n, tuple(int(x) for r in rows for x in r))
-
-    @staticmethod
-    def from_triplets(rows: int, cols: int,
-                      triplets: Iterable[tuple[int, int, int]]) -> "IntMatrix":
-        entries = [0] * (rows * cols)
-        for i, j, v in triplets:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"triplet ({i},{j}) out of range")
-            entries[i * cols + j] += int(v)
-        return IntMatrix(rows, cols, tuple(entries))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        e = [0] * (n * n)
-        for i in range(n):
-            e[i * n + i] = 1
-        return IntMatrix(n, n, tuple(e))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        rows = self.to_rows()
-        return IntMatrix.from_rows([[rows[i][j] for i in range(self.rows)]
-                                    for j in range(self.cols)])
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = [[sum(a[i][k] * b[k][j] for k in range(self.cols))
-                for j in range(other.cols)] for i in range(self.rows)]
-        return IntMatrix.from_rows(out) if out else IntMatrix.zero(0, other.cols)
-
-    def matvec(self, x: Sequence[int]) -> list[int]:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum(self.row(i)[j] * x[j] for j in range(self.cols))
-                for i in range(self.rows)]
-
-
-@dataclass(frozen=True)
-class HnfResult:
-    """Row-style Hermite normal form H = U * M with unimodular U."""
-
-    H: IntMatrix
-    U: IntMatrix
-    rank: int
-    pivots: tuple[int, ...]  # pivot column of each of the first `rank` rows
-
-
-def hermite_normal_form(m: IntMatrix) -> HnfResult:
-    """Compute the row HNF of m with its unimodular transform.
-
-    Pivot columns are chosen left to right, pivots are normalised positive and
-    entries above each pivot are reduced into [0, pivot).  Entries are reduced
-    during elimination, which keeps intermediate growth in check.
-    """
-    h = m.to_rows()
-    nrows, ncols = m.rows, m.cols
-    u = IntMatrix.identity(nrows).to_rows()
-    r = 0
-    pivots = []
-    for j in range(ncols):
-        # gcd-eliminate column j below row r
-        while True:
-            nz = [i for i in range(r, nrows) if h[i][j] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(h[i][j]), i))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
-            p = h[r][j]
-            done = True
-            for i in range(r + 1, nrows):
-                if h[i][j] != 0:
-                    q = h[i][j] // p
-                    if q:
-                        hi, hr = h[i], h[r]
-                        for t in range(j, ncols):
-                            hi[t] -= q * hr[t]
-                        ui, ur = u[i], u[r]
-                        for t in range(nrows):
-                            ui[t] -= q * ur[t]
-                    if h[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if r < nrows and h[r][j] != 0:
-            if h[r][j] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
-            p = h[r][j]
-            for i in range(r):
-                q = h[i][j] // p
-                if q:
-                    hi, hr = h[i], h[r]
-                    for t in range(j, ncols):
-                        hi[t] -= q * hr[t]
-                    ui, ur = u[i], u[r]
-                    for t in range(nrows):
-                        ui[t] -= q * ur[t]
-            pivots.append(j)
-            r += 1
-            if r == nrows:
-                break
-    return HnfResult(IntMatrix.from_rows(h) if h else IntMatrix.zero(0, ncols),
-                     IntMatrix.from_rows(u) if u else IntMatrix.zero(0, 0),
-                     r, tuple(pivots))
-
-
-def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def solve_diophantine(m: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
-    """Solve m * x = b exactly over the integers.
-
-    Returns a witness x or None when no integer solution exists.  The method
-    is HNF of the transposed matrix: the HNF rows form an echelon basis of the
-    column lattice of m, so membership of b is decided by forward reduction
-    (a non-divisible pivot or a nonzero residual certifies infeasibility).
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length must equal row count")
-    res = hermite_normal_form(m.transpose())
-    h = res.H.to_rows()
-    residual = [int(x) for x in b]
-    coeff = [0] * res.H.rows
-    ncols = res.H.cols
-    pivot_at = {res.pivots[i]: i for i in range(res.rank)}
-    for j in range(ncols):
-        if residual[j] == 0:
-            continue
-        i = pivot_at.get(j)
-        if i is None:
-            return None
-        q, rem = divmod(residual[j], h[i][j])
-        if rem:
-            return None
-        coeff[i] = q
-        hi = h[i]
-        for t in range(j, ncols):
-            residual[t] -= q * hi[t]
-    if any(residual):
-        return None
-    # x = U^T * coeff
-    u = res.U.to_rows()
-    n = m.cols
-    x = [0] * n
-    for i in range(res.rank):
-        c = coeff[i]
-        if c:
-            ui = u[i]
-            for k in range(n):
-                x[k] += c * ui[k]
-    return x
-
-
-def dump_system(m: IntMatrix, b: Sequence[int]) -> str:
-    """Debug dump: `m n` on the first line, then m rows of n+1 integers."""
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(x) for x in (*m.row(i), b[i])))
-    return "\n".join(lines) + "\n"
-
-
-# --- sparse machinery -------------------------------------------------------
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, u, v) with u*a + v*b = g = gcd(a, b), g > 0."""

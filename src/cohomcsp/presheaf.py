@@ -16,7 +16,7 @@ literature calls (k-1)-WL.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .matching import has_perfect_matching
 from .structures import LocalSection, Structure
@@ -80,10 +80,6 @@ class SectionSet:
     def copy(self) -> "SectionSet":
         return SectionSet(self.a, self.b, self.k, self.kind,
                           {c: set(v) for c, v in self.sections.items()})
-
-    def same_sections(self, other: "SectionSet") -> bool:
-        return {c: frozenset(v) for c, v in self.sections.items()} == \
-               {c: frozenset(v) for c, v in other.sections.items()}
 
     def extension_target(self, context: Context, a: int) -> tuple[Context, int]:
         """Context obtained by inserting element a, and a's position in it."""
@@ -238,35 +234,6 @@ def bij_forth_holds(s_set: SectionSet, s: LocalSection) -> bool:
     return has_perfect_matching(n, adj)
 
 
-def remove_with_upset(s_set: SectionSet, victims: Iterable[LocalSection]) -> SectionSet:
-    """Remove the victims and every stored section extending a victim."""
-    by_context: dict[Context, set[LocalSection]] = {}
-    for v in victims:
-        by_context.setdefault(v.domain, set()).add(v)
-    if not by_context:
-        return s_set.copy()
-    out = s_set.copy()
-    victim_contexts = sorted(by_context, key=len)
-    for c, secs in out.sections.items():
-        doomed = set()
-        for s in secs:
-            sdom = set(s.domain)
-            for vc in victim_contexts:
-                if len(vc) > len(c):
-                    break
-                if set(vc) <= sdom and restrict(s, vc) in by_context[vc]:
-                    doomed.add(s)
-                    break
-        secs -= doomed
-    return out
-
-
-def downward_close(s_set: SectionSet) -> SectionSet:
-    out = s_set.copy()
-    _downward_close_inplace(out)
-    return out
-
-
 def _downward_close_inplace(s_set: SectionSet) -> list[LocalSection]:
     """Keep only sections all of whose restrictions are present; ascending pass."""
     removed = []
@@ -317,8 +284,7 @@ def _fixpoint(s_set: SectionSet, check: Callable[[SectionSet, LocalSection], boo
     dirty = {s for c in out.contexts() if len(c) < out.k
              for s in out.sections[c]}
     while dirty:
-        failures = {s for s in sorted(dirty, key=lambda s: (s.domain, s.values))
-                    if s in out and not check(out, s)}
+        failures = {s for s in dirty if not check(out, s)}
         if not failures:
             break
         removed = _remove_and_close(out, failures)

@@ -2,7 +2,7 @@
 
 import itertools
 
-from cohomcsp import IntMatrix
+from reference import IntMatrix
 
 
 def box_solve(m: IntMatrix, b, bound: int):

@@ -213,3 +213,33 @@ def test_bench_rows_and_error_row(tmp_path, capsys):
     assert doc["rows"][0]["verdict"] == "reject"
     assert doc["rows"][0]["agree"] == "true"
     assert doc["rows"][1]["error"]
+
+
+def test_bench_rows_refuse_coercion(tmp_path, capsys):
+    """k and budget must be JSON ints and a/b path strings; a bad row gets an
+    error and the other rows still run."""
+    pa, pb = write_pair(tmp_path, cycle_structure(3), complete_structure(2))
+    good = {"a": pa, "b": pb, "k": 2, "method": "classical", "problem": "csp"}
+    bad = [{**good, "k": 2.9}, {**good, "k": True},
+           {**good, "budget": 1e3, "oracle": True}, {**good, "a": 0}]
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"rows": bad + [good]}))
+    code, out, _ = run(["bench", "--manifest", str(m), "--format", "json"], capsys)
+    assert code == 0
+    got = json.loads(out)["rows"]
+    assert [r["k"] for r in got] == [2.9, True, 2, 2, 2]
+    for r in got[:-1]:
+        assert r["error"] and r["verdict"] == "", r
+    assert got[-1]["verdict"] == "accept" and got[-1]["error"] == ""
+
+
+@pytest.mark.parametrize("family", ["cfi", "tseitin"])
+@pytest.mark.parametrize("bad_line", ["twist 5 7 3", "0 2 7"])
+def test_gen_refuses_malformed_graph_line(tmp_path, capsys, family, bad_line):
+    g = tmp_path / "g.txt"
+    g.write_text(f"4\n0 1\n1 2\n2 3\n3 0\n{bad_line}\n")
+    extra = ["--q", "2"] if family == "cfi" else []
+    code, _, err = run(["gen", family, "--graph", str(g), *extra,
+                        "--out-prefix", str(tmp_path / "out")], capsys)
+    assert code == 2 and "error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]

@@ -1,8 +1,8 @@
 import random
 
-from cohomcsp import (IntLattice, IntMatrix, SparseEchelon, det_bareiss,
-                      dump_system, hermite_normal_form, solve_diophantine)
+from cohomcsp import IntLattice, SparseEchelon
 from oracles import box_solve
+from reference import IntMatrix, det_bareiss, hermite_normal_form, hnf_solve
 
 
 def is_row_hnf(h: IntMatrix, rank: int, pivots) -> bool:
@@ -57,11 +57,11 @@ def test_hnf_random_round_trip():
 
 
 def test_solve_simple():
-    assert solve_diophantine(IntMatrix.from_rows([[2]]), [2]) == [1]
-    assert solve_diophantine(IntMatrix.from_rows([[2]]), [1]) is None
+    assert hnf_solve(IntMatrix.from_rows([[2]]), [2]) == [1]
+    assert hnf_solve(IntMatrix.from_rows([[2]]), [1]) is None
     # x + y = 1, x - y = 0  forces 2x = 1
     m = IntMatrix.from_rows([[1, 1], [1, -1]])
-    assert solve_diophantine(m, [1, 0]) is None
+    assert hnf_solve(m, [1, 0]) is None
 
 
 def test_solve_verifies_and_matches_box_oracle():
@@ -72,7 +72,7 @@ def test_solve_verifies_and_matches_box_oracle():
         m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(cols)]
                                  for _ in range(rows)])
         b = [rng.randint(-6, 6) for _ in range(rows)]
-        x = solve_diophantine(m, b)
+        x = hnf_solve(m, b)
         if x is not None:
             assert m.matvec(x) == b
         else:
@@ -91,7 +91,7 @@ def test_sparse_echelon_matches_dense_solver():
         sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
         ech = SparseEchelon(cols, sparse_rows, track_combos=True)
         rhs = {i: v for i, v in enumerate(b) if v}
-        dense_sol = solve_diophantine(m, b)
+        dense_sol = hnf_solve(m, b)
         assert ech.feasible(rhs) == (dense_sol is not None)
         x = ech.solve(rhs)
         if dense_sol is None:
@@ -143,10 +143,28 @@ def test_int_lattice_gcd_combination():
     assert lat.contains([2]) and not lat.contains([1])
 
 
-def test_from_triplets_and_dump():
-    m = IntMatrix.from_triplets(2, 2, [(0, 0, 2), (0, 0, 1), (1, 1, -4)])
-    assert m.to_rows() == [[3, 0], [0, -4]]
-    assert dump_system(m, [5, 6]) == "2 2\n3 0 5\n0 -4 6\n"
+def test_int_lattice_matches_hnf_solve():
+    """v lies in the span of the generators G iff G^T y = v is solvable."""
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(500):
+        dim = rng.randint(1, 4)
+        gens = [[rng.choice([0, 0, 1, -1, 2, -2, 3, 4]) for _ in range(dim)]
+                for _ in range(rng.randint(1, 4))]
+        lat = IntLattice(dim)
+        for g in gens:
+            lat.add(g)
+        g_t = IntMatrix.from_rows([[g[i] for g in gens] for i in range(dim)])
+        for _ in range(5):
+            if rng.random() < 0.5:
+                ys = [rng.randint(-3, 3) for _ in gens]
+                v = [sum(y * g[i] for y, g in zip(ys, gens)) for i in range(dim)]
+            else:
+                v = [rng.randint(-5, 5) for _ in range(dim)]
+            member = lat.contains(v)
+            assert member == (hnf_solve(g_t, v) is not None), (gens, v)
+            outcomes.add(member)
+    assert outcomes == {True, False}
 
 
 def test_coefficient_growth_50x50_completes():
