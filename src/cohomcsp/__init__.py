@@ -11,8 +11,8 @@ from .presheaf import (Context, SectionSet, all_contexts, bij_forth_holds,
                        restrict, wl_fixpoint)
 from .intlinalg import IntLattice, SparseEchelon
 from .cohomology import (CompatibilitySystem, DecisionReport,
-                         build_compatibility_system, cohom_consistency_fixpoint,
-                         cohom_wl_fixpoint, invert_section_set, run_decision)
+                         build_compatibility_system, invert_section_set,
+                         run_decision)
 from .generators import (AffineSystem, CfiSpec, OrderedGraph,
                          affine_solvable_brute, affine_solvable_mod,
                          affine_to_instance, cfi_equations, cfi_structure,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -150,8 +151,11 @@ def _cmd_gen(args) -> int:
     return 2
 
 
-def _bench_row(row: dict) -> dict:
+def _bench_row(row: object, budget: int) -> dict:
     out = {c: "" for c in BENCH_COLUMNS}
+    if not isinstance(row, dict):
+        out["error"] = f"row must be an object, got {row!r}"
+        return out
     out.update({"a": row.get("a", ""), "b": row.get("b", ""),
                 "problem": row.get("problem", "csp"),
                 "method": row.get("method", "cohomological"),
@@ -162,8 +166,7 @@ def _bench_row(row: dict) -> dict:
                 raise StructureFormatError(
                     f"{key} must be a path string, got {row[key]!r}")
         k = _json_int(row.get("k", 3), "k")
-        budget = _json_int(row.get("budget", row.get("default_budget", 10**6)),
-                           "budget")
+        budget = _json_int(row.get("budget", budget), "budget")
         a, b = _load_pair(row["a"], row["b"])
         report = run_decision(a, b, k, row.get("method", "cohomological"),
                               row.get("problem", "csp"))[-1]
@@ -191,14 +194,16 @@ def _cmd_bench(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    rows = manifest.get("rows", manifest if isinstance(manifest, list) else [])
-    for r in rows:
-        r.setdefault("default_budget", args.budget)
+    rows = manifest.get("rows") if isinstance(manifest, dict) else None
+    if not isinstance(rows, list):
+        print('error: the manifest must be {"rows": [...]}', file=sys.stderr)
+        return 2
+    run_row = functools.partial(_bench_row, budget=args.budget)
     if args.jobs > 1 and rows:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_row, rows))
+            results = list(pool.map(run_row, rows))
     else:
-        results = [_bench_row(r) for r in rows]
+        results = [run_row(r) for r in rows]
     if args.format == "json":
         _write_output(json.dumps({"rows": results}, sort_keys=True), args.out)
     else:

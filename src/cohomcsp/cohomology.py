@@ -262,34 +262,6 @@ def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
     return t
 
 
-def _cohom_fixpoint(s_set: SectionSet, removed_log: Optional[list[dict]],
-                    stats: Optional[_SweepStats]) -> SectionSet:
-    pre: list[dict] = []
-    t = _classical(s_set, pre)
-    return _run_cohom_fixpoint(t, pre,
-                               removed_log if removed_log is not None else [],
-                               stats if stats is not None else _SweepStats())
-
-
-def cohom_consistency_fixpoint(s_set: SectionSet,
-                               removed_log: Optional[list[dict]] = None,
-                               stats: Optional[_SweepStats] = None) -> SectionSet:
-    """Greatest fixpoint removing forth failures and non-Z-extendable sections."""
-    if s_set.kind != "hom":
-        raise ValueError("cohom_consistency_fixpoint expects kind=hom")
-    return _cohom_fixpoint(s_set, removed_log, stats)
-
-
-def cohom_wl_fixpoint(s_set: SectionSet,
-                      removed_log: Optional[list[dict]] = None,
-                      stats: Optional[_SweepStats] = None) -> SectionSet:
-    """Greatest fixpoint removing bijective-forth failures and sections that
-    are not Z-bi-extendable."""
-    if s_set.kind != "isom":
-        raise ValueError("cohom_wl_fixpoint expects kind=isom")
-    return _cohom_fixpoint(s_set, removed_log, stats)
-
-
 # --- decision procedures with reports ----------------------------------------
 
 @dataclass

@@ -2,11 +2,13 @@
 fixpoint algorithms deciding k-consistency and k-Weisfeiler-Leman equivalence.
 
 A *context* is a sorted tuple of at most k elements of A.  A `SectionSet`
-stores, for every context, the set of local sections currently alive.  The
-classical algorithms repeatedly remove sections that fail the forth (resp.
-bijective-forth) extension property, together with everything extending them,
-until the set is stable; acceptance means the fixpoint is non-empty, which by
-the conventions here is equivalent to the empty section surviving.
+stores, for every context, the set of local sections currently alive.
+`enumerate_sections` builds the full presheaf bottom-up, extending each
+section at C[:-1] by one value for C[-1].  The classical algorithms
+repeatedly remove sections that fail the forth (resp. bijective-forth)
+extension property, together with everything extending them, until the set
+is stable; acceptance means the fixpoint is non-empty, which by the
+conventions here is equivalent to the empty section surviving.
 
 Note on the parameter k: it is the pebble count / maximum context size.  The
 algorithm called k-Weisfeiler-Leman here corresponds to what much of the
@@ -113,77 +115,43 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
     isomorphisms (kind="isom") from a to b, organised by context.
 
     Every context of size <= k is present; the empty context carries exactly
-    the empty section.  Enumeration is by backtracking over images in context
-    order, pruning on tuple preservation (and reflection for isomorphisms).
+    the empty section.  Built bottom-up: a section at C restricts to one at
+    C[:-1], which comes earlier in (size, lex) order, so the sections at C are
+    those at C[:-1] extended by a value for C[-1] such that every A-tuple
+    inside C using C[-1] maps into B and, for isomorphisms, every other
+    position tuple over C using C[-1] does not.  Tuples not using C[-1] were
+    checked at C[:-1].
     """
     if a.signature != b.signature:
         raise ValueError("structures must share a signature")
     out = SectionSet(a, b, k, kind)
-    # index of A-tuples by the set of elements they use, and of B-tuples by member
-    a_tuples = [(name, t, frozenset(t))
-                for name, _ in a.signature.symbols for t in a.relations[name]]
-    b_index: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
-    if kind == "isom":
-        for name, _ in b.signature.symbols:
-            for t in b.relations[name]:
-                for e in set(t):
-                    b_index.setdefault(e, []).append((name, t))
-
-    for context in out.contexts():
-        if not context:
-            out.sections[context].add(LocalSection((), (), kind))
-            continue
-        cset = set(context)
+    out.sections[()].add(LocalSection((), (), kind))
+    # A-tuples by their largest element, the last one of any context holding them
+    by_max: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
+    for name, _ in a.signature.symbols:
+        for t in a.relations[name]:
+            by_max.setdefault(max(t), []).append((name, t))
+    for context in out.contexts()[1:]:
         pos_of = {e: i for i, e in enumerate(context)}
-        # tuple checks grouped by the depth at which they become decidable
-        checks_at: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in context]
-        for name, t, fs in a_tuples:
-            if fs <= cset:
-                checks_at[max(pos_of[e] for e in t)].append((name, t))
-
-        image = [-1] * len(context)
-        pos_of_value: dict[int, int] = {}
-        found = out.sections[context]
-
-        def admissible(depth: int, val: int) -> bool:
-            image[depth] = val
-            try:
-                for name, t in checks_at[depth]:
-                    if tuple(image[pos_of[e]] for e in t) not in b.relations[name]:
-                        return False
-                if kind == "isom":
-                    # reflection: B-tuples now fully inside the image need preimages
-                    pos_of_value[val] = depth
-                    try:
-                        for name, tb in b_index.get(val, ()):
-                            if all(e in pos_of_value for e in tb):
-                                pre = tuple(context[pos_of_value[e]] for e in tb)
-                                if pre not in a.relations[name]:
-                                    return False
-                    finally:
-                        del pos_of_value[val]
-                return True
-            finally:
-                image[depth] = -1
-
-        def backtrack(depth: int) -> None:
-            if depth == len(context):
-                found.add(LocalSection(context, tuple(image), kind))
-                return
-            for val in range(b.size):
-                if kind == "isom" and val in pos_of_value:
+        # position tuple over C using C[-1] -> must its image be a B-tuple (iff
+        # it is an A-tuple); a homomorphism only preserves, so checks the A-tuples
+        expect = {(name, tuple(pos_of[e] for e in t)): True
+                  for name, t in by_max.get(context[-1], ())
+                  if all(e in pos_of for e in t)}
+        if kind == "isom":
+            for name, arity in a.signature.symbols:
+                for p in itertools.product(range(len(context)), repeat=arity):
+                    if len(context) - 1 in p:
+                        expect.setdefault((name, p), False)
+        checks = [(b.relations[name], p, want) for (name, p), want in expect.items()]
+        for s in out.sections[context[:-1]]:
+            for v in range(b.size):
+                if kind == "isom" and v in s.values:
                     continue
-                if not admissible(depth, val):
-                    continue
-                image[depth] = val
-                if kind == "isom":
-                    pos_of_value[val] = depth
-                backtrack(depth + 1)
-                image[depth] = -1
-                if kind == "isom":
-                    del pos_of_value[val]
-
-        backtrack(0)
+                vals = s.values + (v,)
+                if all((tuple(map(vals.__getitem__, p)) in rel) == want
+                       for rel, p, want in checks):
+                    out.sections[context].add(LocalSection(context, vals, kind))
     return out
 
 

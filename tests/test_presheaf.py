@@ -3,13 +3,16 @@ import random
 
 import pytest
 
-from cohomcsp import (LocalSection, SectionSet, all_contexts, bij_forth_holds,
-                      brute_force_hom, brute_force_iso, classical_fixpoint,
-                      enumerate_sections, forth_holds, is_partial_hom,
-                      is_partial_iso, restrict, run_decision, wl_fixpoint)
-from conftest import (complete_structure, cycle_structure,
+from cohomcsp import (LocalSection, SectionSet, Signature, all_contexts,
+                      bij_forth_holds, brute_force_hom, brute_force_iso,
+                      cfi_structure, classical_fixpoint, enumerate_sections,
+                      forth_holds, is_partial_hom, is_partial_iso, named_graph,
+                      restrict, run_decision, wl_fixpoint, zero_twist)
+from conftest import (BIN_SIG, complete_structure, cycle_structure,
                       graph_structure, random_structure)
 from reference import downward_close, remove_with_upset, same_sections
+
+MIXED_SIG = Signature((("U", 1), ("E", 2), ("T", 3)))
 
 
 def naive_sections(a, b, k, kind):
@@ -46,15 +49,23 @@ def test_enumerate_isom_different_sizes_local():
 
 
 def test_enumerate_matches_naive(rng):
-    for _ in range(15):
-        a = random_structure(rng, rng.randint(1, 4))
-        b = random_structure(rng, rng.randint(1, 3))
-        for kind in ("hom", "isom"):
-            k = rng.randint(1, 3)
-            got = enumerate_sections(a, b, k, kind)
-            want = naive_sections(a, b, k, kind)
-            assert {c: frozenset(v) for c, v in got.sections.items()} == \
-                   {c: frozenset(v) for c, v in want.items()}
+    """Random binary structures, random structures with a unary, a binary and
+    a ternary symbol (whose tuples with repeated entries the extension checks
+    must get right), and the CFI2(K3) zero/twisted pair."""
+    cfi = [cfi_structure(zero_twist(named_graph("k3"), 2, t)) for t in (0, 1)]
+    cases = []
+    for sig in (BIN_SIG, MIXED_SIG):
+        for _ in range(15):
+            a = random_structure(rng, rng.randint(1, 4), sig)
+            b = random_structure(rng, rng.randint(1, 3), sig)
+            for kind in ("hom", "isom"):
+                cases.append((a, b, kind, rng.randint(1, 3)))
+    cases += [(*cfi, "isom", k) for k in (2, 3)]
+    for a, b, kind, k in cases:
+        got = enumerate_sections(a, b, k, kind)
+        want = naive_sections(a, b, k, kind)
+        assert {c: frozenset(v) for c, v in got.sections.items()} == \
+               {c: frozenset(v) for c, v in want.items()}
 
 
 def test_restrict():
