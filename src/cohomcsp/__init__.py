@@ -6,9 +6,9 @@ from .structures import (LocalSection, SearchResult, Signature, Structure,
                          is_partial_hom, is_partial_iso, load_structure,
                          save_structure, structure_from_json, structure_to_json,
                          validate_structure)
-from .presheaf import (Context, SectionSet, all_contexts, bij_forth_holds,
-                       classical_fixpoint, enumerate_sections, forth_holds,
-                       restrict, wl_fixpoint)
+from .presheaf import (Context, Section, SectionSet, all_contexts,
+                       bij_forth_holds, classical_fixpoint, enumerate_sections,
+                       forth_holds, wl_fixpoint)
 from .intlinalg import IntLattice, SparseEchelon
 from .cohomology import (CompatibilitySystem, DecisionReport,
                          build_compatibility_system, invert_section_set,

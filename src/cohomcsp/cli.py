@@ -200,7 +200,7 @@ def _cmd_bench(args) -> int:
         return 2
     run_row = functools.partial(_bench_row, budget=args.budget)
     if args.jobs > 1 and rows:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(rows))) as pool:
             results = list(pool.map(run_row, rows))
     else:
         results = [run_row(r) for r in rows]

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .intlinalg import IntLattice, SparseEchelon
-from .presheaf import (Context, SectionSet, _remove_and_close,
-                       classical_fixpoint, enumerate_sections, restrict,
-                       wl_fixpoint)
-from .structures import LocalSection, Structure
+from .presheaf import (Context, Section, SectionSet, _remove_and_close,
+                       classical_fixpoint, enumerate_sections, wl_fixpoint)
+from .structures import Structure
 
 
 @dataclass
@@ -41,8 +40,8 @@ class CompatibilitySystem:
     pin the system is homogeneous.
     """
 
-    variables: list[LocalSection]
-    var_of: dict[LocalSection, int]
+    variables: list[tuple[Context, Section]]
+    var_of: dict[tuple[Context, Section], int]
     rows: list[dict[int, int]]
     rhs: list[int]
 
@@ -56,7 +55,7 @@ class CompatibilitySystem:
 
 
 def build_compatibility_system(s_set: SectionSet,
-                               pin: Optional[tuple[Context, LocalSection]] = None
+                               pin: Optional[tuple[Context, Section]] = None
                                ) -> CompatibilitySystem:
     """Build the compatibility system, pinned for Z-extendability of pin[1].
 
@@ -67,11 +66,11 @@ def build_compatibility_system(s_set: SectionSet,
     right-hand side.
     """
     pin_ctx, pin_sec = pin if pin is not None else (None, None)
-    if pin is not None and (pin_sec.domain != pin_ctx or pin_sec not in s_set):
+    if pin is not None and pin_sec not in s_set.sections.get(pin_ctx, ()):
         raise ValueError("pinned section is not stored in the section set")
-    variables = [s for c in s_set.contexts() if c != pin_ctx
-                 for s in sorted(s_set.sections[c], key=lambda s: s.values)]
-    var_of = {s: i for i, s in enumerate(variables)}
+    variables = [(c, s) for c in s_set.contexts() if c != pin_ctx
+                 for s in sorted(s_set.sections[c])]
+    var_of = {cs: i for i, cs in enumerate(variables)}
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     for c in s_set.contexts():
@@ -79,28 +78,34 @@ def build_compatibility_system(s_set: SectionSet,
             continue
         for i in range(len(c)):
             sub = c[:i] + c[i + 1:]
-            groups: dict[LocalSection, dict[int, int]] = {}
-            pinned_hits: dict[LocalSection, int] = {}
+            groups: dict[Section, dict[int, int]] = {}
+            pinned_hits: dict[Section, int] = {}
             for s in s_set.sections[c]:
-                r = restrict(s, sub)
+                r = s[:i] + s[i + 1:]
                 if c == pin_ctx:
                     if s == pin_sec:
                         pinned_hits[r] = pinned_hits.get(r, 0) + 1
                 else:
                     row = groups.setdefault(r, {})
-                    v = var_of[s]
+                    v = var_of[(c, s)]
                     row[v] = row.get(v, 0) + 1
-            for sp in sorted(s_set.sections[sub], key=lambda s: s.values):
+            for sp in sorted(s_set.sections[sub]):
                 row = dict(groups.get(sp, {}))
                 const = pinned_hits.get(sp, 0)
                 if sub == pin_ctx:
                     const -= 1 if sp == pin_sec else 0
                 else:
-                    v = var_of[sp]
+                    v = var_of[(sub, sp)]
                     row[v] = row.get(v, 0) - 1
                 rows.append(row)
                 rhs.append(-const)
     return CompatibilitySystem(variables, var_of, rows, rhs)
+
+
+def _inverse(c: Context, s: Section) -> tuple[Context, Section]:
+    """The inverse of the partial isomorphism c -> s as a (context, values) pair."""
+    pairs = sorted(zip(s, c))
+    return tuple(v for v, _ in pairs), tuple(e for _, e in pairs)
 
 
 def invert_section_set(s_set: SectionSet) -> SectionSet:
@@ -108,10 +113,10 @@ def invert_section_set(s_set: SectionSet) -> SectionSet:
     if s_set.kind != "isom":
         raise ValueError("only isomorphism section sets can be inverted")
     out = SectionSet(s_set.b, s_set.a, s_set.k, "isom")
-    for secs in s_set.sections.values():
+    for c, secs in s_set.sections.items():
         for s in secs:
-            inv = s.inverse()
-            out.sections[inv.domain].add(inv)
+            ic, inv = _inverse(c, s)
+            out.sections[ic].add(inv)
     return out
 
 
@@ -130,7 +135,7 @@ class _SweepStats:
 
 
 def _zext_sweep(s_set: SectionSet, stats: _SweepStats
-                ) -> Optional[list[LocalSection]]:
+                ) -> Optional[list[tuple[Context, Section]]]:
     """Find the stored sections that are not Z-extendable in s_set.
 
     Returns None when the empty section itself is not Z-extendable, in which
@@ -150,8 +155,7 @@ def _zext_sweep(s_set: SectionSet, stats: _SweepStats
     ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
     basis = ech.kernel_basis()
 
-    empty_sec = LocalSection((), (), s_set.kind)
-    empty_var = var_of[empty_sec]
+    empty_var = var_of[((), ())]
     lat0 = IntLattice(1)
     for vec in basis:
         v = vec.get(empty_var, 0)
@@ -165,16 +169,15 @@ def _zext_sweep(s_set: SectionSet, stats: _SweepStats
         for v in vec:
             touch.setdefault(v, []).append(bi)
 
-    failures: list[LocalSection] = []
+    failures: list[tuple[Context, Section]] = []
     top = s_set.max_level()
     for c in s_set.contexts():
         if len(c) != top:
             continue
-        secs = sorted(s_set.sections[c], key=lambda s: s.values)
+        secs = sorted(s_set.sections[c])
         if not secs:
             continue
-        vars_c = [var_of[s] for s in secs]
-        coord = {v: t for t, v in enumerate(vars_c)}
+        vars_c = [var_of[(c, s)] for s in secs]
         p = len(vars_c)
         vec_ids = sorted({bi for v in vars_c for bi in touch.get(v, ())})
         lat = IntLattice(p)
@@ -186,11 +189,11 @@ def _zext_sweep(s_set: SectionSet, stats: _SweepStats
                 continue
             seen.add(proj)
             lat.add(proj)
-        for s in secs:
+        for t, s in enumerate(secs):
             unit = [0] * p
-            unit[coord[var_of[s]]] = 1
+            unit[t] = 1
             if not lat.contains(unit):
-                failures.append(s)
+                failures.append((c, s))
     return failures
 
 
@@ -233,9 +236,7 @@ def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
             if back is None:
                 failures = None
             else:
-                fwd = set(failures)
-                fwd.update(s.inverse() for s in back)
-                failures = sorted(fwd, key=lambda s: (s.domain, s.values))
+                failures = set(failures).union(_inverse(c, s) for c, s in back)
         if failures is None:
             count = t.total()
             for secs in t.sections.values():
@@ -248,7 +249,7 @@ def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
                                 "closure": 0, "zext": 0,
                                 "remaining": t.total()})
             break
-        removed = _remove_and_close(t, set(failures))
+        removed = _remove_and_close(t, failures)
         closure = len(removed) - len(failures)
         post: list[dict] = []
         t = _classical(t, post)

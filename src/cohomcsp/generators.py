@@ -254,18 +254,10 @@ def tseitin_system(graph: OrderedGraph, charge: Mapping[int, int]) -> AffineSyst
     """Parity equations over Z_2: one variable per edge, one equation per vertex.
 
     Solvable iff every connected component has even total charge.  Vertices of
-    degree zero are rejected (they would produce an empty equation).
+    degree zero are rejected (they would produce an empty equation).  This is
+    `flow_system` over Z_2, where both edge signs are 1.
     """
-    edges = graph.edge_list()
-    edge_index = {e: i for i, e in enumerate(edges)}
-    eqs = []
-    for v in range(graph.n):
-        nbrs = graph.neighbors(v)
-        if not nbrs:
-            raise ValueError(f"vertex {v} is isolated")
-        idx = tuple(edge_index[tuple(sorted((v, u)))] for u in nbrs)
-        eqs.append(((1,) * len(idx), idx, charge.get(v, 0) % 2))
-    return AffineSystem(2, len(edges), tuple(eqs))
+    return flow_system(graph, 2, charge)
 
 
 def flow_system(graph: OrderedGraph, q: int,

@@ -1,8 +1,13 @@
 """Presheaves of k-local partial homomorphisms/isomorphisms and the classical
 fixpoint algorithms deciding k-consistency and k-Weisfeiler-Leman equivalence.
 
-A *context* is a sorted tuple of at most k elements of A.  A `SectionSet`
-stores, for every context, the set of local sections currently alive.
+A *context* is a sorted tuple of at most k elements of A.  A local section
+over C is a map C -> B, stored as its value tuple s in context order (s[i] is
+the image of C[i]); restricting it along the face without C[i] drops s[i].  A
+`SectionSet` stores, for every context, the set of value tuples currently
+alive: a section's context is its key and its kind (hom or isom) the set's.
+The partial-map oracles in `structures` take their own validated (domain,
+values, kind) section type; the engine never builds one.
 `enumerate_sections` builds the full presheaf bottom-up, extending each
 section at C[:-1] by one value for C[-1].  The classical algorithms
 repeatedly remove sections that fail the forth (resp. bijective-forth)
@@ -18,12 +23,14 @@ literature calls (k-1)-WL.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from bisect import bisect_left
+from typing import Callable, Iterable, Optional
 
 from .matching import has_perfect_matching
-from .structures import LocalSection, Structure
+from .structures import Structure
 
 Context = tuple[int, ...]
+Section = tuple[int, ...]  # the values of a local section, in context order
 
 
 def all_contexts(n: int, k: int) -> list[Context]:
@@ -35,10 +42,13 @@ def all_contexts(n: int, k: int) -> list[Context]:
 
 
 class SectionSet:
-    """A family of local sections indexed by contexts (a sub-presheaf candidate)."""
+    """A family of local sections indexed by contexts (a sub-presheaf candidate).
+
+    The sections at a context C are value tuples: s[i] is the image of C[i].
+    """
 
     def __init__(self, a: Structure, b: Structure, k: int, kind: str,
-                 sections: Optional[dict[Context, set[LocalSection]]] = None):
+                 sections: Optional[dict[Context, set[Section]]] = None):
         if kind not in ("hom", "isom"):
             raise ValueError(f"bad kind {kind!r}")
         if k < 1:
@@ -50,19 +60,14 @@ class SectionSet:
         if sections is None:
             sections = {c: set() for c in all_contexts(a.size, k)}
         self.sections = sections
-        self._ext_cache: dict[tuple[Context, int], tuple[Context, int]] = {}
 
     # -- basic queries ------------------------------------------------------
 
     def contexts(self) -> list[Context]:
         return sorted(self.sections, key=lambda c: (len(c), c))
 
-    def at(self, context: Context) -> set[LocalSection]:
+    def at(self, context: Context) -> set[Section]:
         return self.sections[context]
-
-    def __contains__(self, s: LocalSection) -> bool:
-        got = self.sections.get(s.domain)
-        return got is not None and s in got
 
     def total(self) -> int:
         return sum(len(v) for v in self.sections.values())
@@ -83,32 +88,6 @@ class SectionSet:
         return SectionSet(self.a, self.b, self.k, self.kind,
                           {c: set(v) for c, v in self.sections.items()})
 
-    def extension_target(self, context: Context, a: int) -> tuple[Context, int]:
-        """Context obtained by inserting element a, and a's position in it."""
-        key = (context, a)
-        hit = self._ext_cache.get(key)
-        if hit is None:
-            pos = 0
-            while pos < len(context) and context[pos] < a:
-                pos += 1
-            hit = (context[:pos] + (a,) + context[pos:], pos)
-            self._ext_cache[key] = hit
-        return hit
-
-
-def restrict(s: LocalSection, context: Context) -> LocalSection:
-    """Cut s down to the sub-context `context` (which must be within its domain)."""
-    dom = s.domain
-    vals = []
-    i = 0
-    for e in context:
-        while i < len(dom) and dom[i] < e:
-            i += 1
-        if i == len(dom) or dom[i] != e:
-            raise ValueError(f"{context} is not a subset of {dom}")
-        vals.append(s.values[i])
-    return LocalSection(context, tuple(vals), s.kind)
-
 
 def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> SectionSet:
     """Enumerate all k-local partial homomorphisms (kind="hom") or partial
@@ -125,7 +104,7 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
     if a.signature != b.signature:
         raise ValueError("structures must share a signature")
     out = SectionSet(a, b, k, kind)
-    out.sections[()].add(LocalSection((), (), kind))
+    out.sections[()].add(())
     # A-tuples by their largest element, the last one of any context holding them
     by_max: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
     for name, _ in a.signature.symbols:
@@ -146,121 +125,117 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
         checks = [(b.relations[name], p, want) for (name, p), want in expect.items()]
         for s in out.sections[context[:-1]]:
             for v in range(b.size):
-                if kind == "isom" and v in s.values:
+                if kind == "isom" and v in s:
                     continue
-                vals = s.values + (v,)
+                vals = s + (v,)
                 if all((tuple(map(vals.__getitem__, p)) in rel) == want
                        for rel, p, want in checks):
-                    out.sections[context].add(LocalSection(context, vals, kind))
+                    out.sections[context].add(vals)
     return out
 
 
-def forth_holds(s_set: SectionSet, s: LocalSection) -> bool:
+def forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
     """Forth property: every element of A extends s by some value within the set.
 
-    Only defined for sections with |domain| < k.  For elements already in the
-    domain the only admissible extension is the section itself.
+    Only defined for sections with |c| < k.  For elements already in c the only
+    admissible extension is the section itself.
     """
-    if len(s.domain) >= s_set.k:
+    if len(c) >= s_set.k:
         raise ValueError("forth is only defined for sections below size k")
-    dom = set(s.domain)
-    used = set(s.values) if s.kind == "isom" else frozenset()
+    used = set(s) if s_set.kind == "isom" else ()
     for a in range(s_set.a.size):
-        if a in dom:
+        pos = bisect_left(c, a)
+        if pos < len(c) and c[pos] == a:
             continue
-        target, pos = s_set.extension_target(s.domain, a)
-        stored = s_set.sections[target]
-        head, tail = s.values[:pos], s.values[pos:]
-        if not any(LocalSection(target, head + (bv,) + tail, s.kind) in stored
+        stored = s_set.sections[c[:pos] + (a,) + c[pos:]]
+        head, tail = s[:pos], s[pos:]
+        if not any(head + (bv,) + tail in stored
                    for bv in range(s_set.b.size) if bv not in used):
             return False
     return True
 
 
-def bij_forth_holds(s_set: SectionSet, s: LocalSection) -> bool:
+def bij_forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
     """Bijective forth: one bijection A -> B must extend s pointwise within the set.
 
     Decided by maximum matching on the bipartite graph of admissible pairs.
     """
-    if len(s.domain) >= s_set.k:
+    if len(c) >= s_set.k:
         raise ValueError("bijective forth is only defined for sections below size k")
     n = s_set.a.size
     if n != s_set.b.size:
         raise ValueError("bijective forth requires equal universe sizes")
-    pinned = s.mapping()
-    used = set(s.values)
+    alive = s in s_set.sections[c]
+    used = set(s)
     adj: list[list[int]] = []
     for a in range(n):
-        if a in pinned:
-            adj.append([pinned[a]] if s in s_set else [])
+        pos = bisect_left(c, a)
+        if pos < len(c) and c[pos] == a:
+            adj.append([s[pos]] if alive else [])
             continue
-        target, pos = s_set.extension_target(s.domain, a)
-        stored = s_set.sections[target]
-        head, tail = s.values[:pos], s.values[pos:]
+        stored = s_set.sections[c[:pos] + (a,) + c[pos:]]
+        head, tail = s[:pos], s[pos:]
         adj.append([bv for bv in range(n) if bv not in used and
-                    LocalSection(target, head + (bv,) + tail, s.kind) in stored])
+                    head + (bv,) + tail in stored])
     return has_perfect_matching(n, adj)
 
 
-def _downward_close_inplace(s_set: SectionSet) -> list[LocalSection]:
+def _downward_close_inplace(s_set: SectionSet) -> list[tuple[Context, Section]]:
     """Keep only sections all of whose restrictions are present; ascending pass."""
     removed = []
     for c in s_set.contexts():
-        if not c:
-            continue
-        subs = [c[:i] + c[i + 1:] for i in range(len(c))]
+        subs = [s_set.sections[c[:i] + c[i + 1:]] for i in range(len(c))]
         secs = s_set.sections[c]
         doomed = [s for s in secs
-                  if any(restrict(s, sub) not in s_set.sections[sub] for sub in subs)]
+                  if any(s[:i] + s[i + 1:] not in sub for i, sub in enumerate(subs))]
         for s in doomed:
             secs.discard(s)
-            removed.append(s)
+            removed.append((c, s))
     return removed
 
 
-def _remove_and_close(s_set: SectionSet, victims: set[LocalSection]) -> list[LocalSection]:
+def _remove_and_close(s_set: SectionSet, victims: Iterable[tuple[Context, Section]]
+                      ) -> list[tuple[Context, Section]]:
     """Delete victims in place, then restore downward closure; returns all removals."""
     removed = []
-    for v in victims:
-        secs = s_set.sections[v.domain]
-        if v in secs:
-            secs.discard(v)
-            removed.append(v)
+    for c, s in victims:
+        secs = s_set.sections[c]
+        if s in secs:
+            secs.discard(s)
+            removed.append((c, s))
     removed.extend(_downward_close_inplace(s_set))
     return removed
 
 
-def _affected_after_removal(s_set: SectionSet,
-                            removed: list[LocalSection]) -> set[LocalSection]:
+def _affected_after_removal(s_set: SectionSet, removed: list[tuple[Context, Section]]
+                            ) -> set[tuple[Context, Section]]:
     """Sections whose forth status may have changed: restrictions of removals."""
     dirty = set()
-    for r in removed:
-        c = r.domain
+    for c, s in removed:
         for i in range(len(c)):
-            sub = c[:i] + c[i + 1:]
-            t = restrict(r, sub)
+            sub, t = c[:i] + c[i + 1:], s[:i] + s[i + 1:]
             if t in s_set.sections[sub]:
-                dirty.add(t)
+                dirty.add((sub, t))
     return dirty
 
 
-def _fixpoint(s_set: SectionSet, check: Callable[[SectionSet, LocalSection], bool],
+def _fixpoint(s_set: SectionSet, check: Callable[[SectionSet, Context, Section], bool],
               stats: Optional[list[dict[str, int]]] = None) -> SectionSet:
     """Greatest fixpoint of batched check-failure removal plus downward closure."""
     out = s_set.copy()
     _downward_close_inplace(out)
-    dirty = {s for c in out.contexts() if len(c) < out.k
+    dirty = {(c, s) for c in out.contexts() if len(c) < out.k
              for s in out.sections[c]}
     while dirty:
-        failures = {s for s in dirty if not check(out, s)}
+        failures = {(c, s) for c, s in dirty if not check(out, c, s)}
         if not failures:
             break
         removed = _remove_and_close(out, failures)
         if stats is not None:
             stats.append({"forth": len(failures),
                           "closure": len(removed) - len(failures)})
-        dirty = {s for s in _affected_after_removal(out, removed)
-                 if len(s.domain) < out.k}
+        dirty = {(c, s) for c, s in _affected_after_removal(out, removed)
+                 if len(c) < out.k}
     return out
 
 

@@ -18,13 +18,15 @@ class StructureFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Signature:
-    """Ordered list of (name, arity) pairs with unique names and arity >= 1."""
+    """Ordered (name, arity) pairs: unique string names, arity >= 1."""
 
     symbols: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         seen = set()
         for name, arity in self.symbols:
+            if type(name) is not str:
+                raise StructureFormatError(f"relation name {name!r} is not a string")
             if name in seen:
                 raise StructureFormatError(f"duplicate relation symbol {name!r}")
             seen.add(name)
@@ -104,9 +106,6 @@ class LocalSection:
             raise ValueError(f"bad section kind {self.kind!r}")
         if self.kind == "isom" and len(set(self.values)) != len(self.values):
             raise ValueError("isom section must have pairwise distinct values")
-
-    def __len__(self) -> int:
-        return len(self.domain)
 
     def mapping(self) -> dict[int, int]:
         return dict(zip(self.domain, self.values))

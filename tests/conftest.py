@@ -51,6 +51,10 @@ MALFORMED_DOCS = {
         '{"signature":[{"name":"E","arity":2}],"size":true,"relations":{"E":[]}}',
     "float arity":
         '{"signature":[{"name":"E","arity":2.0}],"size":3,"relations":{"E":[]}}',
+    "int name":
+        '{"signature":[{"name":5,"arity":2}],"size":3,"relations":{}}',
+    "null name":
+        '{"signature":[{"name":null,"arity":2}],"size":3,"relations":{}}',
 }
 
 

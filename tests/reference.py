@@ -5,7 +5,9 @@ with its unimodular transform, Bareiss determinants, Diophantine solving via
 the transposed HNF) is the independent check of `SparseEchelon` and
 `IntLattice`.  The pinned-section routines decide Z-extendability of one
 section at a time by its own pinned compatibility system, which is what the
-engine's one-kernel sweep must agree with.  `remove_with_upset`,
+engine's one-kernel sweep must agree with.  `restrict` cuts a validated
+`LocalSection` down to a sub-context by looking its elements up, where the
+engine drops one value per codimension-1 face.  `remove_with_upset`,
 `downward_close` and `same_sections` are the naive section-set operations the
 fixpoint tests replay.  `cohom_fixpoint` is the exception: it runs the
 engine's cohomological fixpoint on a given section set, which `run_decision`
@@ -24,8 +26,8 @@ from cohomcsp.cohomology import (_classical, _run_cohom_fixpoint, _SweepStats,
                                  build_compatibility_system,
                                  invert_section_set)
 from cohomcsp.intlinalg import SparseEchelon
-from cohomcsp.presheaf import (Context, SectionSet, _downward_close_inplace,
-                               restrict)
+from cohomcsp.presheaf import (Context, Section, SectionSet,
+                               _downward_close_inplace)
 from cohomcsp.structures import LocalSection
 
 
@@ -236,44 +238,45 @@ class ZLinearSection:
     """A formal integer combination of the stored sections at one context."""
 
     context: Context
-    coefficients: tuple[tuple[LocalSection, int], ...]
+    coefficients: tuple[tuple[Section, int], ...]
 
-    def as_dict(self) -> dict[LocalSection, int]:
+    def as_dict(self) -> dict[Section, int]:
         return dict(self.coefficients)
 
 
-def z_extendable(s_set: SectionSet, s: LocalSection) -> bool:
+def z_extendable(s_set: SectionSet, c: Context, s: Section) -> bool:
     """True iff the compatibility system pinned at s has an integer solution."""
-    system = build_compatibility_system(s_set, (s.domain, s))
+    system = build_compatibility_system(s_set, (c, s))
     ech = SparseEchelon(system.n_vars, system.rows)
     return ech.feasible({i: v for i, v in enumerate(system.rhs) if v})
 
 
-def z_linear_witness(s_set: SectionSet, s: LocalSection
+def z_linear_witness(s_set: SectionSet, c: Context, s: Section
                      ) -> Optional[dict[Context, ZLinearSection]]:
     """A global Z-linear section pinning s, or None when s is not Z-extendable."""
-    system = build_compatibility_system(s_set, (s.domain, s))
+    system = build_compatibility_system(s_set, (c, s))
     ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
     x = ech.solve({i: v for i, v in enumerate(system.rhs) if v})
     if x is None:
         return None
-    per_ctx: dict[Context, dict[LocalSection, int]] = {
-        c: {} for c in s_set.contexts()}
-    for sec, i in system.var_of.items():
-        per_ctx[sec.domain][sec] = x[i]
-    for sib in s_set.sections[s.domain]:
-        per_ctx[s.domain][sib] = 1 if sib == s else 0
-    return {c: ZLinearSection(c, tuple(sorted(v.items(), key=lambda kv: kv[0].values)))
-            for c, v in per_ctx.items()}
+    per_ctx: dict[Context, dict[Section, int]] = {
+        u: {} for u in s_set.contexts()}
+    for (u, sec), i in system.var_of.items():
+        per_ctx[u][sec] = x[i]
+    for sib in s_set.sections[c]:
+        per_ctx[c][sib] = 1 if sib == s else 0
+    return {u: ZLinearSection(u, tuple(sorted(v.items())))
+            for u, v in per_ctx.items()}
 
 
-def z_bi_extendable(s_set: SectionSet, s: LocalSection) -> bool:
+def z_bi_extendable(s_set: SectionSet, c: Context, s: Section) -> bool:
     """Z-extendability of s in S together with that of s^-1 in S^-1."""
     if s_set.kind != "isom":
         raise ValueError("bi-extendability is defined for isomorphism sets only")
-    if not z_extendable(s_set, s):
+    if not z_extendable(s_set, c, s):
         return False
-    return z_extendable(invert_section_set(s_set), s.inverse())
+    inv = LocalSection(c, s, "isom").inverse()
+    return z_extendable(invert_section_set(s_set), inv.domain, inv.values)
 
 
 def cohom_fixpoint(s_set: SectionSet) -> SectionSet:
@@ -286,16 +289,31 @@ def cohom_fixpoint(s_set: SectionSet) -> SectionSet:
 
 # --- naive section-set operations --------------------------------------------
 
+def restrict(s: LocalSection, context: Context) -> LocalSection:
+    """Cut s down to the sub-context `context` (which must be within its domain)."""
+    dom = s.domain
+    vals = []
+    i = 0
+    for e in context:
+        while i < len(dom) and dom[i] < e:
+            i += 1
+        if i == len(dom) or dom[i] != e:
+            raise ValueError(f"{context} is not a subset of {dom}")
+        vals.append(s.values[i])
+    return LocalSection(context, tuple(vals), s.kind)
+
+
 def same_sections(s_set: SectionSet, other: SectionSet) -> bool:
     return {c: frozenset(v) for c, v in s_set.sections.items()} == \
            {c: frozenset(v) for c, v in other.sections.items()}
 
 
-def remove_with_upset(s_set: SectionSet, victims: Iterable[LocalSection]) -> SectionSet:
+def remove_with_upset(s_set: SectionSet,
+                      victims: Iterable[tuple[Context, Section]]) -> SectionSet:
     """Remove the victims and every stored section extending a victim."""
-    by_context: dict[Context, set[LocalSection]] = {}
-    for v in victims:
-        by_context.setdefault(v.domain, set()).add(v)
+    by_context: dict[Context, set[Section]] = {}
+    for vc, v in victims:
+        by_context.setdefault(vc, set()).add(v)
     if not by_context:
         return s_set.copy()
     out = s_set.copy()
@@ -303,11 +321,11 @@ def remove_with_upset(s_set: SectionSet, victims: Iterable[LocalSection]) -> Sec
     for c, secs in out.sections.items():
         doomed = set()
         for s in secs:
-            sdom = set(s.domain)
+            sec = LocalSection(c, s, s_set.kind)
             for vc in victim_contexts:
                 if len(vc) > len(c):
                     break
-                if set(vc) <= sdom and restrict(s, vc) in by_context[vc]:
+                if set(vc) <= set(c) and restrict(sec, vc).values in by_context[vc]:
                     doomed.add(s)
                     break
         secs -= doomed

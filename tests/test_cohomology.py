@@ -6,18 +6,19 @@ from cohomcsp import (AffineSystem, LocalSection,
                       affine_to_instance, brute_force_hom,
                       build_compatibility_system, classical_fixpoint,
                       enumerate_sections, invert_section_set, is_partial_iso,
-                      restrict, run_decision,
+                      run_decision,
                       tseitin_system, named_graph, wl_fixpoint)
 from cohomcsp.cohomology import _SweepStats, _zext_sweep
 from conftest import (complete_structure, cycle_structure,
                       graph_structure, random_structure)
 from reference import (cohom_fixpoint, downward_close, remove_with_upset,
-                       same_sections, z_bi_extendable, z_extendable,
+                       restrict, same_sections, z_bi_extendable, z_extendable,
                        z_linear_witness)
 
 
 def _witness_is_global_section(s_set, witness, pinned):
-    """Marginal agreement of the witness family plus the pin indicator."""
+    """Marginal agreement of the witness family plus the pin indicator;
+    pinned is a (context, values) pair."""
     for c in s_set.contexts():
         coeffs = witness[c].as_dict()
         assert set(coeffs) <= s_set.at(c) | set(coeffs)
@@ -25,29 +26,30 @@ def _witness_is_global_section(s_set, witness, pinned):
             sub = c[:i] + c[i + 1:]
             marg = {}
             for sec, v in coeffs.items():
-                r = restrict(sec, sub)
+                r = restrict(LocalSection(c, sec), sub).values
                 marg[r] = marg.get(r, 0) + v
             sub_coeffs = witness[sub].as_dict()
             for sec in set(marg) | set(sub_coeffs):
                 if sec in s_set.at(sub):
                     assert marg.get(sec, 0) == sub_coeffs.get(sec, 0)
-    pin_coeffs = witness[pinned.domain].as_dict()
-    for sec in s_set.at(pinned.domain):
-        assert pin_coeffs.get(sec, 0) == (1 if sec == pinned else 0)
+    pin_ctx, pin = pinned
+    pin_coeffs = witness[pin_ctx].as_dict()
+    for sec in s_set.at(pin_ctx):
+        assert pin_coeffs.get(sec, 0) == (1 if sec == pin else 0)
 
 
 def test_compat_system_single_context_pins_empty_section():
     a = graph_structure(1, [])
     b = graph_structure(2, [])
     s = enumerate_sections(a, b, 1, "hom")
-    pin = LocalSection((0,), (1,))
+    pin = (1,)
     system = build_compatibility_system(s, ((0,), pin))
     # variables: only the empty section remains after substitution
     assert system.n_vars == 1
-    witness = z_linear_witness(s, pin)
+    witness = z_linear_witness(s, (0,), pin)
     assert witness is not None
-    assert witness[()].as_dict()[LocalSection((), ())] == 1
-    _witness_is_global_section(s, witness, pin)
+    assert witness[()].as_dict()[()] == 1
+    _witness_is_global_section(s, witness, ((0,), pin))
 
 
 def test_compat_system_dimension_formulas():
@@ -56,7 +58,7 @@ def test_compat_system_dimension_formulas():
     b = complete_structure(2)
     s = enumerate_sections(a, b, 3, "hom")
     pin_ctx = (0,)
-    pin = sorted(s.at(pin_ctx), key=lambda t: t.values)[0]
+    pin = sorted(s.at(pin_ctx))[0]
     system = build_compatibility_system(s, (pin_ctx, pin))
     n_vars = sum(len(s.at(c)) for c in s.contexts()) - len(s.at(pin_ctx))
     n_rows = 0
@@ -78,10 +80,10 @@ def test_restriction_of_total_hom_is_z_extendable(rng):
         s = enumerate_sections(a, b, 2, "hom")
         total = found.mapping
         for c in [(0,), (0, 2), ()]:
-            sec = LocalSection(c, tuple(total[e] for e in c))
-            assert z_extendable(s, sec)
-            witness = z_linear_witness(s, sec)
-            _witness_is_global_section(s, witness, sec)
+            sec = tuple(total[e] for e in c)
+            assert z_extendable(s, c, sec)
+            witness = z_linear_witness(s, c, sec)
+            _witness_is_global_section(s, witness, (c, sec))
 
 
 def test_full_h1_singletons_extendable():
@@ -95,7 +97,7 @@ def test_full_h1_singletons_extendable():
     assert all(len(s.at(c)) == 2 for c in s.contexts() if len(c) == 1)
     for c in s.contexts():
         for sec in s.at(c):
-            assert z_extendable(s, sec)
+            assert z_extendable(s, c, sec)
 
 
 def test_tseitin_k4_sections_all_fail_zext():
@@ -103,13 +105,11 @@ def test_tseitin_k4_sections_all_fail_zext():
     a, b = affine_to_instance(sys_odd)
     s = classical_fixpoint(enumerate_sections(a, b, 3, "hom"))
     assert not s.is_empty()  # classically accepted
-    empty = LocalSection((), ())
-    assert not z_extendable(s, empty)
+    assert not z_extendable(s, (), ())
     # a couple of spot checks deeper in the presheaf
-    some = [sorted(s.at(c), key=lambda t: t.values)[0]
-            for c in [(0,), (0, 1), (0, 1, 2)]]
-    for sec in some:
-        assert not z_extendable(s, sec)
+    some = [(c, sorted(s.at(c))[0]) for c in [(0,), (0, 1), (0, 1, 2)]]
+    for c, sec in some:
+        assert not z_extendable(s, c, sec)
 
 
 def test_sweep_matches_per_pin_zext(rng):
@@ -121,18 +121,17 @@ def test_sweep_matches_per_pin_zext(rng):
         if s.is_empty():
             continue
         failures = _zext_sweep(s, _SweepStats())
-        empty = LocalSection((), ())
         if failures is None:
-            assert not z_extendable(s, empty)
+            assert not z_extendable(s, (), ())
             continue
-        assert z_extendable(s, empty)
+        assert z_extendable(s, (), ())
         failed = set(failures)
         top = s.max_level()
         for c in s.contexts():
             if len(c) != top:
                 continue
             for sec in s.at(c):
-                assert z_extendable(s, sec) == (sec not in failed), (a, b, sec)
+                assert z_extendable(s, c, sec) == ((c, sec) not in failed), (a, b, sec)
 
 
 def test_invert_section_set():
@@ -143,7 +142,7 @@ def test_invert_section_set():
     assert same_sections(invert_section_set(inv), s)
     for c in inv.contexts():
         for sec in inv.at(c):
-            assert is_partial_iso(sec, a, a)
+            assert is_partial_iso(LocalSection(c, sec, "isom"), a, a)
     with pytest.raises(ValueError):
         invert_section_set(enumerate_sections(a, a, 2, "hom"))
 
@@ -152,11 +151,12 @@ def test_z_bi_extendable_basics():
     a = cycle_structure(4)
     s = wl_fixpoint(enumerate_sections(a, a, 2, "isom"))
     ident = LocalSection((0, 1), (0, 1), "isom")
-    assert ident in s
-    assert z_bi_extendable(s, ident)
+    assert ident.values in s.at(ident.domain)
+    assert z_bi_extendable(s, ident.domain, ident.values)
     # symmetry
     inv = invert_section_set(s)
-    assert z_bi_extendable(inv, ident.inverse())
+    back = ident.inverse()
+    assert z_bi_extendable(inv, back.domain, back.values)
 
 
 def test_cohom_fixpoint_subset_of_classical(rng):
@@ -274,17 +274,17 @@ def _reference_cohom_fixpoint(s_set, bi_directional=False):
     while True:
         victims = []
         for c in t.contexts():
-            for sec in sorted(t.at(c), key=lambda s: s.values):
+            for sec in sorted(t.at(c)):
                 if len(c) < t.k:
                     check = bij_forth_holds if bi_directional else forth_holds
-                    if not check(t, sec):
-                        victims.append(sec)
+                    if not check(t, c, sec):
+                        victims.append((c, sec))
                         continue
                 if bi_directional:
-                    if not z_bi_extendable(t, sec):
-                        victims.append(sec)
-                elif not z_extendable(t, sec):
-                    victims.append(sec)
+                    if not z_bi_extendable(t, c, sec):
+                        victims.append((c, sec))
+                elif not z_extendable(t, c, sec):
+                    victims.append((c, sec))
         if not victims:
             return t
         t = downward_close(remove_with_upset(t, victims))

