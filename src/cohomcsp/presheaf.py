@@ -221,9 +221,9 @@ def _affected_after_removal(s_set: SectionSet, removed: list[tuple[Context, Sect
 
 def _fixpoint(s_set: SectionSet, check: Callable[[SectionSet, Context, Section], bool],
               stats: Optional[list[dict[str, int]]] = None) -> SectionSet:
-    """Greatest fixpoint of batched check-failure removal plus downward closure."""
+    """Greatest fixpoint of batched check-failure removal plus downward closure
+    below s_set, which must be downward closed (as enumeration leaves it)."""
     out = s_set.copy()
-    _downward_close_inplace(out)
     dirty = {(c, s) for c in out.contexts() if len(c) < out.k
              for s in out.sections[c]}
     while dirty:

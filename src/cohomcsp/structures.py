@@ -173,74 +173,44 @@ class _Budget:
         return self.left < 0
 
 
-def _hom_search(a: Structure, b: Structure, injective: bool, reflect: bool,
-                budget: int) -> SearchResult:
-    """Backtracking search for a total hom/iso, counting visited nodes against budget."""
+def _hom_search(a: Structure, b: Structure, candidates: Sequence[Sequence[int]],
+                injective: bool, budget: int) -> SearchResult:
+    """Backtracking search for a total hom, injective if asked, that sends
+    element i into candidates[i]; each tried value spends one unit of budget.
+    A tuple of A is checked for preservation once its largest element is
+    assigned.  Reflection is never checked (see `brute_force_iso`)."""
     n = a.size
-    # tuples become checkable once their last (max) element is assigned
-    checks_at: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(max(n, 1))]
+    checks_at: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n)]
     for name, _ in a.signature.symbols:
+        rel = b.relations[name]
         for t in a.relations[name]:
-            if t:
-                checks_at[max(t)].append((name, t))
-    # for reflection: b-side tuples indexed by each member
-    b_index: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
-    if reflect:
-        for name, _ in b.signature.symbols:
-            for t in b.relations[name]:
-                for e in set(t):
-                    b_index.setdefault(e, []).append((name, t))
-
+            checks_at[max(t)].append((t, rel))
     image: list[int] = [-1] * n
-    inv: dict[int, int] = {}  # value -> preimage, for injective search
+    used: set[int] = set()  # values taken, for injective search
     budget_box = _Budget(budget)
-
-    def ok(depth: int, val: int) -> bool:
-        image[depth] = val
-        try:
-            for name, t in checks_at[depth]:
-                if tuple(image[e] for e in t) not in b.relations[name]:
-                    return False
-            if reflect:
-                inv[val] = depth
-                try:
-                    for name, t in b_index.get(val, ()):
-                        if all(e in inv for e in t):
-                            if tuple(inv[e] for e in t) not in a.relations[name]:
-                                return False
-                finally:
-                    del inv[val]
-            return True
-        finally:
-            image[depth] = -1
 
     def search(depth: int) -> Optional[str]:
         if depth == n:
             return "found"
-        for val in range(b.size):
+        for val in candidates[depth]:
             if budget_box.spend():
                 return "budget_exceeded"
-            if injective and val in inv:
-                continue
-            if not ok(depth, val):
+            if val in used:
                 continue
             image[depth] = val
+            if any(tuple([image[e] for e in t]) not in rel
+                   for t, rel in checks_at[depth]):
+                continue
             if injective:
-                inv[val] = depth
+                used.add(val)
             r = search(depth + 1)
             if r is not None:
                 return r
-            image[depth] = -1
-            if injective:
-                del inv[val]
+            used.discard(val)
         return None
 
     r = search(0)
-    if r == "found":
-        return SearchResult("found", tuple(image))
-    if r == "budget_exceeded":
-        return SearchResult("budget_exceeded", None)
-    return SearchResult("none", None)
+    return SearchResult(r or "none", tuple(image) if r == "found" else None)
 
 
 def brute_force_hom(a: Structure, b: Structure, budget: int = 10**7) -> SearchResult:
@@ -250,19 +220,47 @@ def brute_force_hom(a: Structure, b: Structure, budget: int = 10**7) -> SearchRe
     homomorphism exists.  The search refuses to visit more than ``budget``
     nodes and returns ``budget_exceeded`` instead of running unbounded.
     """
-    if a.size > 0 and b.size == 0:
-        return SearchResult("none", None)
-    return _hom_search(a, b, injective=False, reflect=False, budget=budget)
+    if a.signature != b.signature:
+        raise ValueError("structures must share a signature")
+    return _hom_search(a, b, [range(b.size)] * a.size, False, budget)
+
+
+def _profiles(s: Structure) -> list[tuple[int, ...]]:
+    """Per element, how many tuples hold it at each (symbol, position) slot."""
+    counts = [[0] * sum(arity for _, arity in s.signature.symbols)
+              for _ in range(s.size)]
+    base = 0
+    for name, arity in s.signature.symbols:
+        for t in s.relations[name]:
+            for pos, e in enumerate(t, base):
+                counts[e][pos] += 1
+        base += arity
+    return [tuple(c) for c in counts]
 
 
 def brute_force_iso(a: Structure, b: Structure, budget: int = 10**7) -> SearchResult:
-    """Exhaustive (pruned) search for an isomorphism, immediate none on size mismatch."""
-    if a.size != b.size:
+    """Exhaustive (pruned) search for an isomorphism A -> B.
+
+    Returns ``none`` at once unless the sizes and every symbol's tuple count
+    agree.  Past that check an injective total homomorphism is an
+    isomorphism: it maps each relation of A injectively into the equally
+    large relation of B, so onto it, and so reflects every tuple.  The search
+    checks preservation only; its correctness rests on that precheck.  An
+    isomorphism keeps each element's degree profile (its tuple count per
+    symbol and position), so element i only tries the B elements with its
+    profile.  A bijection that keeps profiles keeps every tuple count too, so
+    the profile filter backs up the count half of the precheck.
+    """
+    if a.signature != b.signature:
+        raise ValueError("structures must share a signature")
+    if a.size != b.size or any(len(a.relations[name]) != len(b.relations[name])
+                               for name in a.signature.names):
         return SearchResult("none", None)
-    for name, _ in a.signature.symbols:
-        if len(a.relations[name]) != len(b.relations[name]):
-            return SearchResult("none", None)
-    return _hom_search(a, b, injective=True, reflect=True, budget=budget)
+    by_profile: dict[tuple[int, ...], list[int]] = {}
+    for v, p in enumerate(_profiles(b)):
+        by_profile.setdefault(p, []).append(v)
+    return _hom_search(a, b, [by_profile.get(p, []) for p in _profiles(a)],
+                       True, budget)
 
 
 # --- JSON interchange -------------------------------------------------------

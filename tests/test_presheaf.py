@@ -8,6 +8,7 @@ from cohomcsp import (LocalSection, SectionSet, Signature, all_contexts,
                       cfi_structure, classical_fixpoint, enumerate_sections,
                       forth_holds, is_partial_hom, is_partial_iso, named_graph,
                       run_decision, wl_fixpoint, zero_twist)
+from cohomcsp.presheaf import _downward_close_inplace, _remove_and_close
 from conftest import (BIN_SIG, complete_structure, cycle_structure,
                       graph_structure, random_structure)
 from reference import (downward_close, remove_with_upset, restrict,
@@ -66,6 +67,8 @@ def test_enumerate_matches_naive(rng):
         want = naive_sections(a, b, k, kind)
         assert {c: frozenset(v) for c, v in got.sections.items()} == \
                {c: frozenset(v) for c, v in want.items()}
+        # the fixpoints rely on enumeration being downward closed
+        assert _downward_close_inplace(got.copy()) == []
 
 
 def test_restrict():
@@ -203,6 +206,19 @@ def test_fixpoints_leave_input_unchanged():
         out = fixpoint(s_set)
         assert out.total() < s_set.total()
         assert {c: frozenset(v) for c, v in s_set.sections.items()} == before
+
+
+def test_remove_and_close_leaves_set_downward_closed(rng):
+    """The fixpoints rely on their input being downward closed; in the
+    cohomological run that input comes from `_remove_and_close`."""
+    for _ in range(10):
+        a = random_structure(rng, 3)
+        b = random_structure(rng, 3)
+        for kind, fixpoint in (("hom", classical_fixpoint), ("isom", wl_fixpoint)):
+            t = fixpoint(enumerate_sections(a, b, 2, kind))
+            entries = sorted((c, s) for c in t.contexts() for s in t.at(c))
+            _remove_and_close(t, rng.sample(entries, min(3, len(entries))))
+            assert _downward_close_inplace(t.copy()) == []
 
 
 def test_fixpoint_order_invariance(rng):

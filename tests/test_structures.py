@@ -89,6 +89,54 @@ def test_brute_force_iso_examples():
     assert brute_force_iso(cycle_structure(3), cycle_structure(4)).status == "none"
     # same size, different edge count
     assert brute_force_iso(c4, complete_structure(4)).status == "none"
+    # same degree profiles and edge counts, not isomorphic
+    d4 = graph_structure(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
+    two_d2 = graph_structure(4, [(0, 1), (1, 0), (2, 3), (3, 2)], directed=True)
+    assert brute_force_iso(d4, two_d2).status == "none"
+    k4 = complete_structure(4)
+    assert brute_force_iso(k4, k4, budget=3).status == "budget_exceeded"
+
+
+def test_oracles_refuse_mismatched_signatures():
+    other = Structure.make(Signature((("F", 2),)), 2, {"F": [(0, 1)]})
+    for oracle in (brute_force_hom, brute_force_iso):
+        with pytest.raises(ValueError, match="share a signature"):
+            oracle(complete_structure(2), other)
+
+
+def _is_iso(m, a, b):
+    return all({tuple(m[e] for e in t) for t in a.relations[name]} == b.relations[name]
+               for name in a.signature.names)
+
+
+def test_brute_force_iso_matches_permutation_search(rng):
+    """B is a relabelling of A, in half the cases with one binary tuple moved
+    (counts stay equal); a few more cases add a tuple or an element to B."""
+    sig = Signature((("U", 1), ("E", 2), ("T", 3)))
+    outcomes = set()
+    for case in range(1500):
+        n = rng.randint(1, 6)
+        a = random_structure(rng, n, sig, density=0.2)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rels = {name: {tuple(perm[e] for e in t) for t in a.relations[name]}
+                for name in sig.names}
+        pairs = list(itertools.product(range(n), repeat=2))
+        free = [t for t in pairs if t not in rels["E"]]
+        if case % 2 and rels["E"] and free:
+            rels["E"].remove(rng.choice(sorted(rels["E"])))
+            rels["E"].add(rng.choice(free))
+        if case % 10 == 4 and free:
+            rels["E"].add(rng.choice(free))
+        b = Structure.make(sig, n + (case % 10 == 8), rels)
+        want = b.size == n and any(_is_iso(m, a, b)
+                                   for m in itertools.permutations(range(n)))
+        res = brute_force_iso(a, b)
+        assert (res.status == "found") == want, (a, b)
+        if want:
+            assert _is_iso(res.mapping, a, b)
+        outcomes.add(res.status)
+    assert outcomes == {"found", "none"}
 
 
 def test_full_domain_partial_hom_agrees_with_total(rng):
