@@ -14,9 +14,9 @@ from .cohomology import (CompatibilitySystem, DecisionReport,
                          build_compatibility_system, invert_section_set,
                          run_decision)
 from .generators import (AffineSystem, CfiSpec, OrderedGraph,
-                         affine_solvable_brute, affine_solvable_mod,
-                         affine_to_instance, cfi_equations, cfi_structure,
-                         complete_graph, cycle_graph, flow_system,
+                         affine_solvable_brute, affine_to_instance,
+                         cfi_equations, cfi_structure, complete_graph,
+                         cycle_graph, flow_system,
                          graph_from_text, graph_to_text, named_graph,
                          path_graph, phi_interpretation, random_instances,
                          ring_structure, tseitin_system, zero_twist)

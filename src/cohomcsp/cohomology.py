@@ -9,7 +9,8 @@ codimension-1 inclusion and target section); pinning s turns membership into
 an integer feasibility problem.  Sections that are not Z-extendable cannot be
 part of any global section, so the decision procedure starts from the
 classical fixpoint, removes them, re-runs the classical closure, and iterates
-to a greatest fixpoint.
+to a greatest fixpoint.  Each round's system is the last one's minus an
+upward-closed set of sections, so its kernel is cut down from the last one's.
 
 Restrictions compose, so compatibility constraints are generated only for
 codimension-1 inclusions; agreement along those implies agreement for all
@@ -19,6 +20,7 @@ inclusions of contexts.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -134,7 +136,66 @@ class _SweepStats:
         self.max_cols = max(self.max_cols, cols)
 
 
-def _zext_sweep(s_set: SectionSet, stats: _SweepStats
+class _Kernel:
+    """An integer kernel basis of one direction's compatibility system, kept
+    across the sweeps of one fixpoint run.
+
+    Every set after the first is the previous one minus an upward-closed set
+    R of sections (the forth and downward closures keep it so), so its kernel
+    is exactly {x in old kernel : x_R = 0}: rows at removed sub-sections sum
+    removed variables only, and the other rows lose only vanishing terms.
+    Variables keep their first numbering; removed ones stay as coordinates
+    that are zero in every basis vector.
+    """
+
+    basis: Optional[list[dict[int, int]]] = None  # None until the first sweep
+
+    def build(self, s_set: SectionSet, stats: _SweepStats) -> None:
+        system = build_compatibility_system(s_set)
+        stats.record(system.n_rows, system.n_vars)
+        self.variables = system.variables
+        self.empty_var = system.var_of[((), ())]
+        # the maximal contexts and each variable's (context, position) among them
+        self.top = [(c, sorted(s_set.sections[c])) for c in s_set.contexts()
+                    if len(c) == s_set.max_level() and s_set.sections[c]]
+        self.slot: list[Optional[tuple[int, int]]] = [None] * system.n_vars
+        for i, (c, secs) in enumerate(self.top):
+            for t, s in enumerate(secs):
+                self.slot[system.var_of[(c, s)]] = (i, t)
+        ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
+        self.basis = ech.kernel_basis()
+
+    def restrict(self, s_set: SectionSet) -> None:
+        """Cut the basis down to the kernel of s_set.
+
+        sum a_i b_i vanishes on R iff the coefficients of the basis vectors
+        touching R lie in the kernel of their restriction to R, so those
+        vectors are replaced by that small kernel's combinations of them
+        (Cohen 1993, section 2.4).
+        """
+        row_of = {v: r for r, v in enumerate(
+            v for v, (c, s) in enumerate(self.variables)
+            if s not in s_set.sections[c])}
+        rows: list[dict[int, int]] = [{} for _ in row_of]
+        hits: list[dict[int, int]] = []
+        kept: list[dict[int, int]] = []
+        for vec in self.basis:
+            at = [(row_of[v], x) for v, x in vec.items() if v in row_of]
+            for r, x in at:
+                rows[r][len(hits)] = x
+            (hits if at else kept).append(vec)
+        ech = SparseEchelon(len(hits), rows, track_combos=True)
+        for combo in ech.kernel_basis():
+            acc: dict[int, int] = {}
+            for j, q in combo.items():
+                for v, x in hits[j].items():
+                    acc[v] = acc.get(v, 0) + q * x
+            kept.append({v: x for v, x in acc.items() if x})
+        self.basis = kept
+
+
+def _zext_sweep(s_set: SectionSet, stats: _SweepStats,
+                kernel: Optional[_Kernel] = None
                 ) -> Optional[list[tuple[Context, Section]]]:
     """Find the stored sections that are not Z-extendable in s_set.
 
@@ -145,55 +206,46 @@ def _zext_sweep(s_set: SectionSet, stats: _SweepStats
     section inherits a witness from any surviving extension, and one whose
     extensions all fail is removed by the forth closure that follows.
 
-    The kernel of the unpinned compatibility system is computed once; a pin
-    (C, s) is feasible iff the indicator of s lies in the kernel's projection
-    onto the coordinates of S(C), so all pins at one context share a lattice.
+    A pin (C, s) is feasible iff the indicator of s lies in the projection of
+    the unpinned system's kernel onto the coordinates of S(C), so all pins at
+    one context share a lattice, and none needs a test once that lattice is
+    all of Z^|S(C)|.  The kernel is `kernel`'s, built on its first sweep and
+    restricted to s_set on each later one (a fresh one when omitted).
     """
-    system = build_compatibility_system(s_set)
-    var_of = system.var_of
-    stats.record(system.n_rows, system.n_vars)
-    ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
-    basis = ech.kernel_basis()
-
-    empty_var = var_of[((), ())]
-    lat0 = IntLattice(1)
-    for vec in basis:
-        v = vec.get(empty_var, 0)
-        if v:
-            lat0.add((v,))
-    if not lat0.contains((1,)):
+    kernel = kernel or _Kernel()
+    if kernel.basis is None:
+        kernel.build(s_set, stats)
+    else:
+        kernel.restrict(s_set)
+    basis, slot, top = kernel.basis, kernel.slot, kernel.top
+    if math.gcd(*(vec.get(kernel.empty_var, 0) for vec in basis)) != 1:
         return None
 
-    touch: dict[int, list[int]] = {}
-    for bi, vec in enumerate(basis):
-        for v in vec:
-            touch.setdefault(v, []).append(bi)
+    # one pass over the basis: each vector's distinct projections per context
+    projections: list[dict[tuple[int, ...], None]] = [{} for _ in top]
+    for vec in basis:
+        touched: dict[int, list[int]] = {}
+        for v, x in vec.items():
+            at = slot[v]
+            if at is not None:
+                i, t = at
+                if i not in touched:
+                    touched[i] = [0] * len(top[i][1])
+                touched[i][t] = x
+        for i, proj in touched.items():
+            projections[i][tuple(proj)] = None
 
     failures: list[tuple[Context, Section]] = []
-    top = s_set.max_level()
-    for c in s_set.contexts():
-        if len(c) != top:
-            continue
-        secs = sorted(s_set.sections[c])
-        if not secs:
-            continue
-        vars_c = [var_of[(c, s)] for s in secs]
-        p = len(vars_c)
-        vec_ids = sorted({bi for v in vars_c for bi in touch.get(v, ())})
-        lat = IntLattice(p)
-        seen: set[tuple[int, ...]] = set()
-        for bi in vec_ids:
-            vec = basis[bi]
-            proj = tuple(vec.get(v, 0) for v in vars_c)
-            if proj in seen:
-                continue
-            seen.add(proj)
+    for (c, secs), projs in zip(top, projections):
+        lat = IntLattice(len(secs))
+        for proj in projs:
             lat.add(proj)
-        for t, s in enumerate(secs):
-            unit = [0] * p
-            unit[t] = 1
-            if not lat.contains(unit):
-                failures.append((c, s))
+            if lat.is_full():
+                break
+        else:
+            failures.extend((c, s) for t, s in enumerate(secs)
+                            if s in s_set.sections[c] and not lat.contains(
+                                [int(u == t) for u in range(len(secs))]))
     return failures
 
 
@@ -227,12 +279,13 @@ def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
         "zext": 0,
         "remaining": t.total(),
     })
+    forward, backward = _Kernel(), _Kernel()
     iteration = 0
     while not t.is_empty():
         iteration += 1
-        failures = _zext_sweep(t, stats)
+        failures = _zext_sweep(t, stats, forward)
         if bi_directional and failures is not None:
-            back = _zext_sweep(invert_section_set(t), stats)
+            back = _zext_sweep(invert_section_set(t), stats, backward)
             if back is None:
                 failures = None
             else:

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .intlinalg import SparseEchelon
 from .structures import Signature, Structure
 
 
@@ -184,22 +183,6 @@ def affine_solvable_brute(sys: AffineSystem) -> bool:
     if sys.variables == 0:
         return all(b % sys.q == 0 for _, _, b in sys.equations)
     return backtrack(0)
-
-
-def affine_solvable_mod(sys: AffineSystem) -> bool:
-    """Modular satisfiability via integer feasibility of A x + q z = b."""
-    rows: list[dict[int, int]] = []
-    rhs: dict[int, int] = {}
-    for i, (coeffs, idx, b) in enumerate(sys.equations):
-        row: dict[int, int] = {}
-        for c, v in zip(coeffs, idx):
-            row[v] = row.get(v, 0) + c
-        row[sys.variables + i] = sys.q  # slack: arithmetic is mod q
-        rows.append(row)
-        if b % sys.q:
-            rhs[i] = b % sys.q
-    ech = SparseEchelon(sys.variables + len(sys.equations), rows)
-    return ech.feasible(rhs)
 
 
 # --- ring CSP instances -------------------------------------------------------

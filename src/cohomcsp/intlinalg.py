@@ -77,8 +77,17 @@ class SparseEchelon:
         if q == 0:
             return
         cd = self.cols[dst]
+        done, index = self._done, self._row_index
         for r, v in self.cols[src].items():
-            self._set_entry(dst, r, cd.get(r, 0) + q * v)
+            nv = cd.get(r, 0) + q * v
+            if nv:
+                if r not in cd and not done[r]:
+                    index[r].add(dst)
+                cd[r] = nv
+            else:
+                del cd[r]  # nv == 0 with v != 0: the entry was there
+                if not done[r]:
+                    index[r].discard(dst)
         if self.track:
             kd, ks = self.combos[dst], self.combos[src]
             for c, v in ks.items():
@@ -234,6 +243,11 @@ class IntLattice:
                 new_row = [u * row[t] + w * v[t] for t in range(self.dim)]
                 v = [-bb * row[t] + aa * v[t] for t in range(self.dim)]
                 self.rows[j] = new_row
+
+    def is_full(self) -> bool:
+        """True iff the lattice is all of Z^dim: a +-1 pivot at every coordinate."""
+        return len(self.rows) == self.dim and all(
+            abs(row[j]) == 1 for j, row in self.rows.items())
 
     def contains(self, vec: Sequence[int]) -> bool:
         v = list(vec)

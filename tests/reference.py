@@ -3,9 +3,11 @@
 None of this runs in a decision.  The dense integer linear algebra (row HNF
 with its unimodular transform, Bareiss determinants, Diophantine solving via
 the transposed HNF) is the independent check of `SparseEchelon` and
-`IntLattice`.  The pinned-section routines decide Z-extendability of one
-section at a time by its own pinned compatibility system, which is what the
-engine's one-kernel sweep must agree with.  `restrict` cuts a validated
+`IntLattice`.  `affine_solvable_mod` decides an affine system over Z_q by
+integer feasibility through `SparseEchelon`, a second known-answer oracle
+next to `affine_solvable_brute`.  The pinned-section routines decide
+Z-extendability of one section at a time by its own pinned compatibility
+system, which is what the engine's kernel sweep must agree with.  `restrict` cuts a validated
 `LocalSection` down to a sub-context by looking its elements up, where the
 engine drops one value per codimension-1 face.  `remove_with_upset`,
 `downward_close` and `same_sections` are the naive section-set operations the
@@ -25,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 from cohomcsp.cohomology import (_classical, _run_cohom_fixpoint, _SweepStats,
                                  build_compatibility_system,
                                  invert_section_set)
+from cohomcsp.generators import AffineSystem
 from cohomcsp.intlinalg import SparseEchelon
 from cohomcsp.presheaf import (Context, Section, SectionSet,
                                _downward_close_inplace)
@@ -229,6 +232,22 @@ def hnf_solve(m: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
             for k in range(n):
                 x[k] += c * ui[k]
     return x
+
+
+def affine_solvable_mod(sys: AffineSystem) -> bool:
+    """Modular satisfiability via integer feasibility of A x + q z = b."""
+    rows: list[dict[int, int]] = []
+    rhs: dict[int, int] = {}
+    for i, (coeffs, idx, b) in enumerate(sys.equations):
+        row: dict[int, int] = {}
+        for c, v in zip(coeffs, idx):
+            row[v] = row.get(v, 0) + c
+        row[sys.variables + i] = sys.q  # slack: arithmetic is mod q
+        rows.append(row)
+        if b % sys.q:
+            rhs[i] = b % sys.q
+    ech = SparseEchelon(sys.variables + len(sys.equations), rows)
+    return ech.feasible(rhs)
 
 
 # --- pinned Z-extendability ---------------------------------------------------

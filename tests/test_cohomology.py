@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cohomcsp import (AffineSystem, LocalSection,
-                      affine_to_instance, brute_force_hom,
-                      build_compatibility_system, classical_fixpoint,
-                      enumerate_sections, invert_section_set, is_partial_iso,
-                      run_decision,
-                      tseitin_system, named_graph, wl_fixpoint)
-from cohomcsp.cohomology import _SweepStats, _zext_sweep
+from cohomcsp import (AffineSystem, CfiSpec, IntLattice, LocalSection,
+                      SparseEchelon, affine_to_instance, brute_force_hom,
+                      build_compatibility_system, cfi_structure,
+                      classical_fixpoint, enumerate_sections, flow_system,
+                      invert_section_set, is_partial_iso, run_decision,
+                      tseitin_system, named_graph, wl_fixpoint, zero_twist)
+from cohomcsp import cohomology
+from cohomcsp.cohomology import _classical, _Kernel, _SweepStats, _zext_sweep
+from cohomcsp.presheaf import _remove_and_close
 from conftest import (complete_structure, cycle_structure,
                       graph_structure, random_structure)
 from reference import (cohom_fixpoint, downward_close, remove_with_upset,
@@ -132,6 +135,88 @@ def test_sweep_matches_per_pin_zext(rng):
                 continue
             for sec in s.at(c):
                 assert z_extendable(s, c, sec) == ((c, sec) not in failed), (a, b, sec)
+
+
+def _lattice_of(vectors, coords):
+    """The lattice spanned by vectors keyed by (context, section), over coords,
+    with the dense vectors; a vector off coords raises KeyError."""
+    index = {cs: i for i, cs in enumerate(coords)}
+    lat = IntLattice(len(coords))
+    dense = []
+    for vec in vectors:
+        row = [0] * len(coords)
+        for cs, x in vec.items():
+            row[index[cs]] = x
+        lat.add(row)
+        dense.append(row)
+    return lat, dense
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(("hom", "isom")),
+       rounds=st.integers(1, 3))
+def test_restricted_kernel_equals_rebuilt_kernel(seed, kind, rounds):
+    """After an upward-closed removal the kept kernel, restricted, spans the
+    same lattice as the kernel of the rebuilt compatibility system, on the
+    surviving sections' coordinates; also after repeated removals."""
+    rng = random.Random(seed)
+    a = random_structure(rng, rng.randint(2, 3))
+    if kind == "isom":
+        b = a if rng.random() < 0.5 else random_structure(rng, a.size)
+    else:
+        b = random_structure(rng, rng.randint(2, 3))
+    s = _classical(enumerate_sections(a, b, 2, kind), [])
+    assume(not s.is_empty())
+    kernel = _Kernel()
+    kernel.build(s, _SweepStats())
+    for _ in range(rounds):
+        stored = [(c, sec) for c in s.contexts() if c for sec in sorted(s.at(c))]
+        if not stored:
+            break
+        _remove_and_close(s, rng.sample(stored, min(len(stored), rng.randint(1, 3))))
+        kernel.restrict(s)
+        system = build_compatibility_system(s)
+        rebuilt = SparseEchelon(system.n_vars, system.rows,
+                                track_combos=True).kernel_basis()
+        coords = system.variables
+        kept, kept_vecs = _lattice_of(
+            [{kernel.variables[v]: x for v, x in vec.items()}
+             for vec in kernel.basis], coords)
+        new, new_vecs = _lattice_of(
+            [{coords[v]: x for v, x in vec.items()} for vec in rebuilt], coords)
+        assert all(new.contains(v) for v in kept_vecs)
+        assert all(kept.contains(v) for v in new_vecs)
+
+
+def test_reused_kernel_sweeps_match_fresh_sweeps(monkeypatch):
+    """Every sweep of a fixpoint run, on its kept and restricted kernel, finds
+    the failures a sweep on a fresh kernel of the same set finds, and the
+    runs restrict in each direction."""
+    sweep = cohomology._zext_sweep
+    restricted = set()
+
+    def checked(s_set, stats, kernel):
+        if kernel.basis is not None:
+            restricted.add(id(kernel))
+        failures = sweep(s_set, stats, kernel)
+        assert failures == sweep(s_set, _SweepStats())
+        return failures
+
+    monkeypatch.setattr(cohomology, "_zext_sweep", checked)
+    prism, k3 = named_graph("prism"), named_graph("k3")
+    edges = k3.edge_list()
+    retwist = CfiSpec(k3, 3, {edges[0]: 1, edges[1]: 2, edges[2]: 0})
+    cases = [  # (A, B, k, problem, directions)
+        (*affine_to_instance(tseitin_system(prism, {})), 3, "csp", 1),
+        (*affine_to_instance(flow_system(prism, 2, {0: 1, 5: 1})), 3, "csp", 1),
+        (*affine_to_instance(flow_system(prism, 3, {})), 3, "csp", 1),
+        (cfi_structure(zero_twist(k3, 3)), cfi_structure(retwist), 2, "iso", 2),
+    ]
+    for a, b, k, problem, directions in cases:
+        restricted.clear()
+        report = run_decision(a, b, k, "cohomological", problem)[-1]
+        assert report.accepted and report.iterations == 2
+        assert len(restricted) == directions
 
 
 def test_invert_section_set():

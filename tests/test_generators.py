@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from cohomcsp import (AffineSystem, CfiSpec, OrderedGraph,
-                      affine_solvable_brute, affine_solvable_mod,
-                      affine_to_instance, brute_force_hom, brute_force_iso,
-                      cfi_equations, cfi_structure, cycle_graph,
-                      graph_from_text, graph_to_text, named_graph, path_graph,
+                      affine_solvable_brute, affine_to_instance,
+                      brute_force_hom, brute_force_iso, cfi_equations,
+                      cfi_structure, cycle_graph, graph_from_text,
+                      graph_to_text, named_graph, path_graph,
                       phi_interpretation, random_instances, ring_structure,
                       tseitin_system, zero_twist)
 from cohomcsp.generators import flow_system
+from reference import affine_solvable_mod
 
 
 def all_twists(base, q):

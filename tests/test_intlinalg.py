@@ -143,6 +143,31 @@ def test_int_lattice_gcd_combination():
     assert lat.contains([2]) and not lat.contains([1])
 
 
+def test_int_lattice_is_full_iff_units_contained():
+    """is_full() holds exactly when every unit vector lies in the lattice."""
+    rng = random.Random(31)
+    cases = [(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]),  # rank-deficient
+             (1, [[2], [-4]]),                        # 2Z
+             (2, [[2, 0], [0, 2], [2, 2]]),           # (2Z)^2, full rank
+             (2, [[2, 1], [1, 1]])]                   # Z^2 without a unit generator
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        cases.append((dim, [[rng.choice([0, 0, 1, -1, 2, -2, 3])
+                             for _ in range(dim)]
+                            for _ in range(rng.randint(0, 6))]))
+    full = 0
+    for dim, gens in cases:
+        lat = IntLattice(dim)
+        for g in gens:
+            lat.add(g)
+        units = all(lat.contains([int(i == j) for i in range(dim)])
+                    for j in range(dim))
+        assert lat.is_full() == units, (dim, gens)
+        full += units
+    assert [IntLattice(d).is_full() for d in (0, 1)] == [True, False]
+    assert 0 < full < len(cases)
+
+
 def test_int_lattice_matches_hnf_solve():
     """v lies in the span of the generators G iff G^T y = v is solvable."""
     rng = random.Random(29)
