@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .cohomology import run_decision
@@ -198,12 +196,7 @@ def _cmd_bench(args) -> int:
     if not isinstance(rows, list):
         print('error: the manifest must be {"rows": [...]}', file=sys.stderr)
         return 2
-    run_row = functools.partial(_bench_row, budget=args.budget)
-    if args.jobs > 1 and rows:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(rows))) as pool:
-            results = list(pool.map(run_row, rows))
-    else:
-        results = [run_row(r) for r in rows]
+    results = [_bench_row(r, args.budget) for r in rows]
     if args.format == "json":
         _write_output(json.dumps({"rows": results}, sort_keys=True), args.out)
     else:
@@ -278,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--manifest", required=True,
                    help='JSON: {"rows": [{"a":..., "b":..., "k":..., '
                         '"method":..., "problem":..., "oracle":true}, ...]}')
-    b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--budget", type=int, default=10**6,
                    help="node budget for oracle brute-force searches")
     b.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -9,7 +9,8 @@ alive: a section's context is its key and its kind (hom or isom) the set's.
 The partial-map oracles in `structures` take their own validated (domain,
 values, kind) section type; the engine never builds one.
 `enumerate_sections` builds the full presheaf bottom-up, extending each
-section at C[:-1] by one value for C[-1].  The classical algorithms
+section at C[:-1] by one value for C[-1]; contexts whose last element has the
+same atomic type share the extensions of a prefix.  The classical algorithms
 repeatedly remove sections that fail the forth (resp. bijective-forth)
 extension property, together with everything extending them, until the set
 is stable; acceptance means the fixpoint is non-empty, which by the
@@ -99,7 +100,9 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
     those at C[:-1] extended by a value for C[-1] such that every A-tuple
     inside C using C[-1] maps into B and, for isomorphisms, every other
     position tuple over C using C[-1] does not.  Tuples not using C[-1] were
-    checked at C[:-1].
+    checked at C[:-1].  So the extensions of a prefix depend only on the
+    atomic type of C[-1] in C, the (symbol, position tuple) pairs of those
+    A-tuples: contexts of one type share them, added in the same order.
     """
     if a.signature != b.signature:
         raise ValueError("structures must share a signature")
@@ -110,6 +113,8 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
     for name, _ in a.signature.symbols:
         for t in a.relations[name]:
             by_max.setdefault(max(t), []).append((name, t))
+    # atomic type of C[-1] in C -> prefix section -> its one-value extensions
+    shared: dict[frozenset, dict[Section, list[Section]]] = {}
     for context in out.contexts()[1:]:
         pos_of = {e: i for i, e in enumerate(context)}
         # position tuple over C using C[-1] -> must its image be a B-tuple (iff
@@ -117,20 +122,28 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
         expect = {(name, tuple(pos_of[e] for e in t)): True
                   for name, t in by_max.get(context[-1], ())
                   if all(e in pos_of for e in t)}
-        if kind == "isom":
-            for name, arity in a.signature.symbols:
-                for p in itertools.product(range(len(context)), repeat=arity):
-                    if len(context) - 1 in p:
-                        expect.setdefault((name, p), False)
-        checks = [(b.relations[name], p, want) for (name, p), want in expect.items()]
+        known = shared.setdefault(frozenset(expect), {})
+        keep, checks = out.sections[context], None
         for s in out.sections[context[:-1]]:
-            for v in range(b.size):
-                if kind == "isom" and v in s:
-                    continue
-                vals = s + (v,)
-                if all((tuple(map(vals.__getitem__, p)) in rel) == want
-                       for rel, p, want in checks):
-                    out.sections[context].add(vals)
+            ext = known.get(s)
+            if ext is None:
+                if checks is None:
+                    if kind == "isom":
+                        for name, arity in a.signature.symbols:
+                            for p in itertools.product(pos_of.values(), repeat=arity):
+                                if len(context) - 1 in p:
+                                    expect.setdefault((name, p), False)
+                    checks = [(b.relations[name], p, want)
+                              for (name, p), want in expect.items()]
+                ext = known[s] = []
+                for v in range(b.size):
+                    if kind == "isom" and v in s:
+                        continue
+                    vals = s + (v,)
+                    if all((tuple(map(vals.__getitem__, p)) in rel) == want
+                           for rel, p, want in checks):
+                        ext.append(vals)
+            keep.update(ext)
     return out
 
 

@@ -11,7 +11,9 @@ system, which is what the engine's kernel sweep must agree with.  `restrict` cut
 `LocalSection` down to a sub-context by looking its elements up, where the
 engine drops one value per codimension-1 face.  `remove_with_upset`,
 `downward_close` and `same_sections` are the naive section-set operations the
-fixpoint tests replay.  `cohom_fixpoint` is the exception: it runs the
+fixpoint tests replay, and `enumerate_sections_per_context` is enumeration
+with every context testing its own candidates, the check of the engine's
+extensions shared across contexts.  `cohom_fixpoint` is the exception: it runs the
 engine's cohomological fixpoint on a given section set, which `run_decision`
 only does on the full enumeration.
 
@@ -21,6 +23,7 @@ positive, entries above a pivot reduced into [0, pivot), zero rows last.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -31,7 +34,7 @@ from cohomcsp.generators import AffineSystem
 from cohomcsp.intlinalg import SparseEchelon
 from cohomcsp.presheaf import (Context, Section, SectionSet,
                                _downward_close_inplace)
-from cohomcsp.structures import LocalSection
+from cohomcsp.structures import LocalSection, Structure
 
 
 # --- dense integer linear algebra -------------------------------------------
@@ -307,6 +310,42 @@ def cohom_fixpoint(s_set: SectionSet) -> SectionSet:
 
 
 # --- naive section-set operations --------------------------------------------
+
+def enumerate_sections_per_context(a: Structure, b: Structure, k: int,
+                                   kind: str) -> SectionSet:
+    """`enumerate_sections` without shared extensions: every context tests
+    every one-value extension of every section at C[:-1] by its own position
+    tuples, even where another context with the same atomic type of C[-1]
+    already did."""
+    out = SectionSet(a, b, k, kind)
+    out.sections[()].add(())
+    by_max: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
+    for name, _ in a.signature.symbols:
+        for t in a.relations[name]:
+            by_max.setdefault(max(t), []).append((name, t))
+    for context in out.contexts()[1:]:
+        pos_of = {e: i for i, e in enumerate(context)}
+        # position tuple over C using C[-1] -> must its image be a B-tuple (iff
+        # it is an A-tuple); a homomorphism only preserves, so checks the A-tuples
+        expect = {(name, tuple(pos_of[e] for e in t)): True
+                  for name, t in by_max.get(context[-1], ())
+                  if all(e in pos_of for e in t)}
+        if kind == "isom":
+            for name, arity in a.signature.symbols:
+                for p in itertools.product(range(len(context)), repeat=arity):
+                    if len(context) - 1 in p:
+                        expect.setdefault((name, p), False)
+        checks = [(b.relations[name], p, want) for (name, p), want in expect.items()]
+        for s in out.sections[context[:-1]]:
+            for v in range(b.size):
+                if kind == "isom" and v in s:
+                    continue
+                vals = s + (v,)
+                if all((tuple(map(vals.__getitem__, p)) in rel) == want
+                       for rel, p, want in checks):
+                    out.sections[context].add(vals)
+    return out
+
 
 def restrict(s: LocalSection, context: Context) -> LocalSection:
     """Cut s down to the sub-context `context` (which must be within its domain)."""

@@ -152,49 +152,19 @@ def test_bench_empty_manifest(tmp_path, capsys):
     assert out.splitlines()[0].startswith("a,b,problem")
 
 
-def test_bench_parallel_jobs(tmp_path, capsys):
+def test_bench_four_row_manifest(tmp_path, capsys):
+    """Every row of a four-row manifest runs, one after the other."""
     pa, pb = write_pair(tmp_path, cycle_structure(4), complete_structure(2))
     rows = [{"a": pa, "b": pb, "k": 2, "method": m, "problem": "csp"}
             for m in ("classical", "cohomological")] * 2
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"rows": rows}))
-    code, out, _ = run(["bench", "--manifest", str(m), "--jobs", "2",
-                        "--format", "json"], capsys)
+    code, out, _ = run(["bench", "--manifest", str(m), "--format", "json"],
+                       capsys)
     assert code == 0
     doc = json.loads(out)
     assert len(doc["rows"]) == 4
     assert all(r["verdict"] == "accept" for r in doc["rows"])
-
-
-def test_bench_jobs_capped_by_rows(tmp_path, capsys, monkeypatch):
-    """A pool starts every worker it is allowed at the first submit, so
-    --jobs asks for no more workers than the manifest has rows.  The pool is
-    a recording fake: no process is started."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, rows):
-            return map(fn, rows)
-
-    monkeypatch.setattr("cohomcsp.cli.ProcessPoolExecutor", RecordingPool)
-    pa, pb = write_pair(tmp_path, cycle_structure(4), complete_structure(2))
-    rows = [{"a": pa, "b": pb, "k": 2, "method": m, "problem": "csp"}
-            for m in ("classical", "cohomological")]
-    m = tmp_path / "m.json"
-    m.write_text(json.dumps({"rows": rows}))
-    code, out, _ = run(["bench", "--manifest", str(m), "--jobs", "8",
-                        "--format", "json"], capsys)
-    assert code == 0 and sizes == [2]
-    assert [r["verdict"] for r in json.loads(out)["rows"]] == ["accept"] * 2
 
 
 def test_bench_oracle_agreement_and_classical_false_positives(tmp_path, capsys):

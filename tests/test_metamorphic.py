@@ -1,9 +1,14 @@
-"""Metamorphic test: renaming the elements of A and of B changes no report.
+"""Metamorphic tests: relations between reports that hold on every input.
 
 The deciders work on the structures only up to isomorphism, so every report
 of all four methods -- verdict, per-iteration removals, system sizes and
 survivors per context size, `ms` aside -- must be the same after A's and B's
-universes are permuted.
+universes are permuted.  Three more properties relate runs to each other:
+swapping A and B keeps both k-WL verdicts (the iso presheaf of (B, A) is the
+inverse of that of (A, B)); a method that accepts at k+1 accepts at k (more
+pebbles only refine); and the cohomological run keeps a subset of the
+classical fixpoint, so it accepts only where the classical one does and has
+no more survivors at any context size.
 
 Instances are random graphs with a unary colour (B mostly of A's size, so the
 iso problem is not decided by the size check alone) and overdetermined affine
@@ -83,3 +88,42 @@ def test_reports_invariant_under_relabelling(inst, k):
     ra, rb = _relabel(a, pa), _relabel(b, pb)
     for problem in ("csp", "iso"):
         assert _reports(ra, rb, k, problem) == _reports(a, b, k, problem)
+
+
+@st.composite
+def _instances(draw):
+    """A structure pair and a problem: graph pairs as CSP or iso, affine
+    systems as CSP (their A and B differ in size, so iso is settled by it)."""
+    return draw(st.one_of(
+        st.tuples(_graph_pairs(), st.sampled_from(("csp", "iso"))),
+        st.tuples(_affine_pairs(), st.just("csp"))))
+
+
+def _verdicts(a, b, k, problem):
+    return [rep.verdict for rep in run_decision(a, b, k, "cohomological", problem)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pair=_graph_pairs(), k=st.sampled_from((1, 2, 3)))
+def test_iso_verdicts_symmetric(pair, k):
+    a, b = pair
+    assert _verdicts(a, b, k, "iso") == _verdicts(b, a, k, "iso")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=_instances(), k=st.sampled_from((1, 2)))
+def test_accept_at_k_plus_one_implies_accept_at_k(inst, k):
+    (a, b), problem = inst
+    for below, above in zip(_verdicts(a, b, k, problem),
+                            _verdicts(a, b, k + 1, problem)):
+        assert below == "accept" or above == "reject"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(inst=_instances(), k=st.sampled_from((1, 2, 3)))
+def test_cohomological_refines_classical(inst, k):
+    (a, b), problem = inst
+    classical, cohom = run_decision(a, b, k, "cohomological", problem)
+    assert classical.accepted or not cohom.accepted
+    for size, count in cohom.sections_per_size.items():
+        assert count <= classical.sections_per_size.get(size, 0)

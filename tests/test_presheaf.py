@@ -3,16 +3,17 @@ import random
 
 import pytest
 
-from cohomcsp import (LocalSection, SectionSet, Signature, all_contexts,
-                      bij_forth_holds, brute_force_hom, brute_force_iso,
-                      cfi_structure, classical_fixpoint, enumerate_sections,
-                      forth_holds, is_partial_hom, is_partial_iso, named_graph,
-                      run_decision, wl_fixpoint, zero_twist)
+from cohomcsp import (LocalSection, SectionSet, Signature, affine_to_instance,
+                      all_contexts, bij_forth_holds, brute_force_hom,
+                      brute_force_iso, cfi_structure, classical_fixpoint,
+                      enumerate_sections, flow_system, forth_holds,
+                      is_partial_hom, is_partial_iso, named_graph,
+                      run_decision, tseitin_system, wl_fixpoint, zero_twist)
 from cohomcsp.presheaf import _downward_close_inplace, _remove_and_close
 from conftest import (BIN_SIG, complete_structure, cycle_structure,
                       graph_structure, random_structure)
-from reference import (downward_close, remove_with_upset, restrict,
-                       same_sections)
+from reference import (downward_close, enumerate_sections_per_context,
+                       remove_with_upset, restrict, same_sections)
 
 MIXED_SIG = Signature((("U", 1), ("E", 2), ("T", 3)))
 
@@ -69,6 +70,29 @@ def test_enumerate_matches_naive(rng):
                {c: frozenset(v) for c, v in want.items()}
         # the fixpoints rely on enumeration being downward closed
         assert _downward_close_inplace(got.copy()) == []
+
+
+def test_enumerate_matches_per_context_reference():
+    """Extensions shared by contexts whose last element has the same atomic
+    type give each context the sections, in the insertion order, that testing
+    every context on its own gives: CFI pairs whose contexts share prefixes
+    across many element sets, Tseitin and a Z_3 flow on the prism, whose
+    atomic types are ternary tuples of several symbols, and a one-edge graph
+    whose edge sits at positions (1, 2) of (0, 1, 3) but (0, 2) of (1, 2, 3),
+    so a type made of element ids would share extensions between the two."""
+    prism = named_graph("prism")
+    cases = [(*(cfi_structure(zero_twist(named_graph(g), q, t)) for t in (0, 1)),
+              k, "isom") for g, q, k in (("k4", 2, 2), ("k3", 3, 3))]
+    cases += [(graph_structure(4, [(1, 3)]), cycle_structure(4), 3, kind)
+              for kind in ("hom", "isom")]
+    cases += [(*affine_to_instance(system), 3, "hom")
+              for system in (tseitin_system(prism, {0: 1}),
+                             flow_system(prism, 3, {0: 1, 5: 1}))]
+    for a, b, k, kind in cases:
+        got = enumerate_sections(a, b, k, kind).sections
+        want = enumerate_sections_per_context(a, b, k, kind).sections
+        assert {c: list(v) for c, v in got.items()} == \
+               {c: list(v) for c, v in want.items()}
 
 
 def test_restrict():
