@@ -3,7 +3,8 @@
 `SparseEchelon` backs the compatibility-system solving in the cohomology
 engine, where systems are large but each equation touches only a handful of
 variables: integer feasibility, witnesses and kernel bases.  `IntLattice`
-decides membership in the projection of that kernel onto one context.
+decides membership in the projection of that kernel onto one context, from
+echelon rows that keep only their nonzeros.
 """
 
 from __future__ import annotations
@@ -215,39 +216,45 @@ class IntLattice:
     """Incremental echelon generating set for a sublattice of Z^p.
 
     Supports adding generator vectors and testing membership; used for the
-    projections of kernel lattices onto the coordinates of one context.
+    projections of kernel lattices onto the coordinates of one context.  Each
+    echelon row is its nonzero (coordinate, value) pairs, pivot first: a
+    reduction step costs the row's nonzeros, not p.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        # echelon rows keyed by leading (pivot) coordinate
-        self.rows: dict[int, list[int]] = {}
+        # sparse echelon rows keyed by leading (pivot) coordinate
+        self.rows: dict[int, list[tuple[int, int]]] = {}
+        self.units = 0  # rows whose pivot is +-1
 
     def add(self, vec: Sequence[int]) -> None:
         v = list(vec)
         for j in range(self.dim):
-            if v[j] == 0:
+            b = v[j]
+            if b == 0:
                 continue
             row = self.rows.get(j)
             if row is None:
-                self.rows[j] = v
+                self.rows[j] = [(t, v[t]) for t in range(j, self.dim) if v[t]]
+                self.units += abs(b) == 1
                 return
-            a, b = row[j], v[j]
+            a = row[0][1]
             if b % a == 0:
                 q = b // a
-                for t in range(j, self.dim):
-                    v[t] -= q * row[t]
+                for t, x in row:
+                    v[t] -= q * x
             else:
                 g, u, w = _ext_gcd(a, b)
                 aa, bb = a // g, b // g
-                new_row = [u * row[t] + w * v[t] for t in range(self.dim)]
-                v = [-bb * row[t] + aa * v[t] for t in range(self.dim)]
-                self.rows[j] = new_row
+                r = dict(row)
+                self.rows[j] = [(t, y) for t in range(j, self.dim)
+                                if (y := u * r.get(t, 0) + w * v[t])]
+                v = [-bb * r.get(t, 0) + aa * y for t, y in enumerate(v)]
+                self.units += g == 1  # a was not +-1: b % a != 0
 
     def is_full(self) -> bool:
         """True iff the lattice is all of Z^dim: a +-1 pivot at every coordinate."""
-        return len(self.rows) == self.dim and all(
-            abs(row[j]) == 1 for j, row in self.rows.items())
+        return self.units == self.dim
 
     def contains(self, vec: Sequence[int]) -> bool:
         v = list(vec)
@@ -257,9 +264,9 @@ class IntLattice:
             row = self.rows.get(j)
             if row is None:
                 return False
-            q, rem = divmod(v[j], row[j])
+            q, rem = divmod(v[j], row[0][1])
             if rem:
                 return False
-            for t in range(j, self.dim):
-                v[t] -= q * row[t]
+            for t, x in row:
+                v[t] -= q * x
         return True

@@ -14,20 +14,25 @@ def maximum_matching(n_left: int, n_right: int,
     """
     match_left = [-1] * n_left
     match_right = [-1] * n_right
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or augment(match_right[v], seen):
-                    match_left[u] = v
-                    match_right[v] = u
-                    return True
-        return False
-
-    for u in range(n_left):
-        if match_left[u] == -1:
-            augment(u, [False] * n_right)
+    seen = [-1] * n_right  # seen[v] == root: v was tried in root's search
+    for root in range(n_left):  # unmatched: only earlier roots are matched
+        # depth-first search for an augmenting path: stack[i + 1] holds the
+        # old partner of the right vertex that stack[i] tried last
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            for v in stack[-1][1]:
+                if seen[v] != root:
+                    break
+            else:
+                stack.pop()
+                continue
+            seen[v] = root
+            if match_right[v] != -1:
+                stack.append((match_right[v], iter(adj[match_right[v]])))
+                continue
+            while stack:  # flip the path: each vertex takes the one tried
+                u = stack.pop()[0]  # from it, freeing its old partner below
+                match_left[u], match_right[v], v = v, u, match_left[u]
     return match_left
 
 

@@ -3,11 +3,13 @@
 None of this runs in a decision.  The dense integer linear algebra (row HNF
 with its unimodular transform, Bareiss determinants, Diophantine solving via
 the transposed HNF) is the independent check of `SparseEchelon` and
-`IntLattice`.  `affine_solvable_mod` decides an affine system over Z_q by
-integer feasibility through `SparseEchelon`, a second known-answer oracle
-next to `affine_solvable_brute`.  The pinned-section routines decide
-Z-extendability of one section at a time by its own pinned compatibility
-system, which is what the engine's kernel sweep must agree with.  `restrict` cuts a validated
+`IntLattice`.  `DenseIntLattice` is `IntLattice` with dense echelon rows, the
+differential check of its sparse ones.  `affine_solvable_mod` decides an
+affine system over Z_q by integer feasibility through `SparseEchelon`, a
+second known-answer oracle next to `affine_solvable_brute`.  The
+pinned-section routines decide Z-extendability of one section at a time by
+its own pinned compatibility system, which is what the engine's kernel sweep
+must agree with.  `restrict` cuts a validated
 `LocalSection` down to a sub-context by looking its elements up, where the
 engine drops one value per codimension-1 face.  `remove_with_upset`,
 `downward_close` and `same_sections` are the naive section-set operations the
@@ -17,7 +19,7 @@ extensions shared across contexts.  `cohom_fixpoint` is the exception: it runs t
 engine's cohomological fixpoint on a given section set, which `run_decision`
 only does on the full enumeration.
 
-The dense routines implement one fixed convention: row-style HNF, pivots
+The HNF routines implement one fixed convention: row-style HNF, pivots
 positive, entries above a pivot reduced into [0, pivot), zero rows last.
 """
 
@@ -31,7 +33,7 @@ from cohomcsp.cohomology import (_classical, _run_cohom_fixpoint, _SweepStats,
                                  build_compatibility_system,
                                  invert_section_set)
 from cohomcsp.generators import AffineSystem
-from cohomcsp.intlinalg import SparseEchelon
+from cohomcsp.intlinalg import SparseEchelon, _ext_gcd
 from cohomcsp.presheaf import (Context, Section, SectionSet,
                                _downward_close_inplace)
 from cohomcsp.structures import LocalSection, Structure
@@ -235,6 +237,57 @@ def hnf_solve(m: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
             for k in range(n):
                 x[k] += c * ui[k]
     return x
+
+
+class DenseIntLattice:
+    """`IntLattice` with dense echelon rows: the same row operations in the
+    same order, over every coordinate of each row."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        # echelon rows keyed by leading (pivot) coordinate
+        self.rows: dict[int, list[int]] = {}
+
+    def add(self, vec: Sequence[int]) -> None:
+        v = list(vec)
+        for j in range(self.dim):
+            if v[j] == 0:
+                continue
+            row = self.rows.get(j)
+            if row is None:
+                self.rows[j] = v
+                return
+            a, b = row[j], v[j]
+            if b % a == 0:
+                q = b // a
+                for t in range(j, self.dim):
+                    v[t] -= q * row[t]
+            else:
+                g, u, w = _ext_gcd(a, b)
+                aa, bb = a // g, b // g
+                new_row = [u * row[t] + w * v[t] for t in range(self.dim)]
+                v = [-bb * row[t] + aa * v[t] for t in range(self.dim)]
+                self.rows[j] = new_row
+
+    def is_full(self) -> bool:
+        """True iff the lattice is all of Z^dim: a +-1 pivot at every coordinate."""
+        return len(self.rows) == self.dim and all(
+            abs(row[j]) == 1 for j, row in self.rows.items())
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        v = list(vec)
+        for j in range(self.dim):
+            if v[j] == 0:
+                continue
+            row = self.rows.get(j)
+            if row is None:
+                return False
+            q, rem = divmod(v[j], row[j])
+            if rem:
+                return False
+            for t in range(j, self.dim):
+                v[t] -= q * row[t]
+        return True
 
 
 def affine_solvable_mod(sys: AffineSystem) -> bool:

@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from cohomcsp import save_structure
-from cohomcsp.cli import REPORT_SCHEMA, main
+from cohomcsp.cli import REPORT_SCHEMA, build_parser, main
 from conftest import MALFORMED_DOCS, complete_structure, cycle_structure
 
 
@@ -76,6 +76,24 @@ def test_unexpected_exception_exits_2(tmp_path, capsys, monkeypatch):
     for extra in ([], ["--compare"]):
         code, _, err = run(["decide-csp", pa, pb, "--k", "2"] + extra, capsys)
         assert code == 2 and "RuntimeError: boom" in err
+
+
+def test_cached_parser_matches_fresh_parser(tmp_path, capsys):
+    """main parses with one parser per process; commands run back to back
+    through it give the exit codes and output of a freshly built parser."""
+    assert build_parser() is build_parser()
+    pa, pb = write_pair(tmp_path, cycle_structure(5), complete_structure(2))
+    strip = lambda s: re.sub(r'"ms": [0-9.]+', '"ms": 0', s)
+    for argv in (["decide-csp", pa, pb, "--k", "2", "--compare"],
+                 ["decide-csp", pa, pb, "--k", "2"],
+                 ["gen", "graph", "--regular", "3", "--n", "6", "--seed", "9"]):
+        code, out, err = run(argv, capsys)
+        args = build_parser.__wrapped__().parse_args(argv)
+        fresh_code = args.func(args)
+        fresh = capsys.readouterr()
+        assert (code, strip(out), err) == (fresh_code, strip(fresh.out),
+                                           fresh.err)
+        assert out
 
 
 def test_identical_files_accept(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from cohomcsp import IntLattice, SparseEchelon
 from oracles import box_solve
-from reference import IntMatrix, det_bareiss, hermite_normal_form, hnf_solve
+from reference import (DenseIntLattice, IntMatrix, det_bareiss,
+                       hermite_normal_form, hnf_solve)
 
 
 def is_row_hnf(h: IntMatrix, rank: int, pivots) -> bool:
@@ -190,6 +193,47 @@ def test_int_lattice_matches_hnf_solve():
             assert member == (hnf_solve(g_t, v) is not None), (gens, v)
             outcomes.add(member)
     assert outcomes == {True, False}
+
+
+def _projected_kernel(rng: random.Random, dim: int, coeffs) -> list[list[int]]:
+    """Generators shaped like the sweep's: the projections onto dim coordinates
+    of the integer kernel of a random sparse system in more variables, those
+    with 1-14 nonzeros; then multiples of unit vectors, so that lattices fill
+    up, some through the gcd of two non-unit pivots."""
+    n = dim + rng.randint(dim // 2 + 1, 2 * dim + 1)
+    rows = [{c: rng.choice(coeffs)
+             for c in rng.sample(range(n), rng.randint(2, min(4, n)))}
+            for _ in range(rng.randint(0, n // 2))]
+    kernel = SparseEchelon(n, rows, track_combos=True).kernel_basis()
+    projs = [[vec.get(t, 0) for t in range(dim)] for vec in kernel]
+    scaled = [[rng.choice(coeffs) * (t == u) for t in range(dim)]
+              for u in rng.choices(range(dim), k=dim)]
+    return [p for p in projs if 0 < sum(map(bool, p)) <= 14] + scaled
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 64),
+       coeffs=st.sampled_from(((1, -1), (1, -1, 2), (1, -1, 2, -2, 3), (2, -3, 4))))
+def test_sparse_lattice_matches_dense_reference(seed, dim, coeffs):
+    """At the sweep's dimensions (1-64), with non-unit coefficients that send
+    adds through the extended-gcd row update, the sparse lattice keeps the
+    dense reference's echelon after every add, and is_full() and contains()
+    agree on every unit vector and on random vectors."""
+    rng = random.Random(seed)
+    gens = _projected_kernel(rng, dim, coeffs)
+    sparse, dense = IntLattice(dim), DenseIntLattice(dim)
+    units = [[int(t == u) for t in range(dim)] for u in range(dim)]
+    for i, g in enumerate(gens):
+        sparse.add(g)
+        dense.add(g)
+        assert sparse.rows == {j: [(t, x) for t, x in enumerate(row) if x]
+                               for j, row in dense.rows.items()}
+        assert sparse.is_full() == dense.is_full()
+        ys = [rng.randint(-2, 2) for _ in range(i + 1)]
+        member = [sum(y * h[t] for y, h in zip(ys, gens)) for t in range(dim)]
+        noise = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim)]
+        for v in units + [member, noise]:
+            assert sparse.contains(v) == dense.contains(v), v
 
 
 def test_coefficient_growth_50x50_completes():

@@ -22,3 +22,11 @@ def test_deterministic():
     adj = [[0, 1], [0, 1]]
     first = maximum_matching(2, 2, adj)
     assert first == maximum_matching(2, 2, adj) == [1, 0]
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    """Vertex u likes u+1 then u, so the last vertex's augmenting path runs
+    back through every vertex: 3,000 steps, past the default recursion limit."""
+    n = 3000
+    adj = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
+    assert maximum_matching(n, n, adj) == list(range(n))
