@@ -51,15 +51,13 @@ BENCH_COLUMNS = ["a", "b", "problem", "method", "k", "verdict", "iterations",
 
 
 def _write_output(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text)
-            if not text.endswith("\n"):
-                f.write("\n")
 
 
 def _load_pair(path_a: str, path_b: str):
@@ -89,9 +87,7 @@ def _cmd_decide(args, problem: str) -> int:
     if args.compare:
         doc = _compare_doc(a, b, args.k, problem)
         _write_output(json.dumps(doc, sort_keys=True), args.out)
-        verdict = doc["cohomological"]["verdict"] if args.method == "cohomological" \
-            else doc["classical"]["verdict"]
-        return 0 if verdict == "accept" else 1
+        return 0 if doc[args.method]["verdict"] == "accept" else 1
     report = run_decision(a, b, args.k, args.method, problem)[-1]
     _write_output(report.to_json(), args.out)
     return 0 if report.accepted else 1
@@ -138,16 +134,14 @@ def _cmd_gen(args) -> int:
         save_structure(a, f"{args.out_prefix}_A.json")
         save_structure(b, f"{args.out_prefix}_B.json")
         return 0
-    if args.family == "affine":
-        inst = next(random_instances(args.seed, "affine", count=1, q=args.q,
-                                     nvars=args.vars, neqs=args.eqs,
-                                     planted=args.planted or None))
-        a, b = affine_to_instance(inst)
-        save_structure(a, f"{args.out_prefix}_A.json")
-        save_structure(b, f"{args.out_prefix}_B.json")
-        return 0
-    print(f"error: unknown family {args.family!r}", file=sys.stderr)
-    return 2
+    # affine: the gen subparsers are required, so no other family reaches here
+    inst = next(random_instances(args.seed, "affine", count=1, q=args.q,
+                                 nvars=args.vars, neqs=args.eqs,
+                                 planted=args.planted or None))
+    a, b = affine_to_instance(inst)
+    save_structure(a, f"{args.out_prefix}_A.json")
+    save_structure(b, f"{args.out_prefix}_B.json")
+    return 0
 
 
 def _bench_row(row: object, budget: int) -> dict:
@@ -164,18 +158,17 @@ def _bench_row(row: object, budget: int) -> dict:
             if not isinstance(row[key], str):
                 raise StructureFormatError(
                     f"{key} must be a path string, got {row[key]!r}")
-        k = _json_int(row.get("k", 3), "k")
+        k = _json_int(out["k"], "k")
         budget = _json_int(row.get("budget", budget), "budget")
         a, b = _load_pair(row["a"], row["b"])
-        report = run_decision(a, b, k, row.get("method", "cohomological"),
-                              row.get("problem", "csp"))[-1]
+        report = run_decision(a, b, k, out["method"], out["problem"])[-1]
         out.update({"verdict": report.verdict,
                     "iterations": report.iterations,
                     "max_rows": report.max_system["rows"],
                     "max_cols": report.max_system["cols"],
                     "ms": report.ms})
         if row.get("oracle"):
-            search = (brute_force_hom if row.get("problem", "csp") == "csp"
+            search = (brute_force_hom if out["problem"] == "csp"
                       else brute_force_iso)(a, b, budget)
             out["oracle"] = search.status
             if search.status in ("found", "none"):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .intlinalg import IntLattice, SparseEchelon
@@ -33,19 +33,15 @@ from .structures import Structure
 
 @dataclass
 class CompatibilitySystem:
-    """Sparse linear system expressing global compatibility, optionally pinned.
+    """Sparse homogeneous linear system expressing global compatibility.
 
-    Variables are the stored sections, except those at the pinned context when
-    there is a pin (their coefficients are substituted with the indicator of
-    the pinned section).  Each row states that the combination at a context
-    restricts to the combination at a codimension-1 sub-context.  Without a
-    pin the system is homogeneous.
+    Variables are the stored sections.  Each row states that the combination
+    at a context restricts to the combination at a codimension-1 sub-context.
     """
 
     variables: list[tuple[Context, Section]]
     var_of: dict[tuple[Context, Section], int]
     rows: list[dict[int, int]]
-    rhs: list[int]
 
     @property
     def n_rows(self) -> int:
@@ -56,52 +52,29 @@ class CompatibilitySystem:
         return len(self.variables)
 
 
-def build_compatibility_system(s_set: SectionSet,
-                               pin: Optional[tuple[Context, Section]] = None
-                               ) -> CompatibilitySystem:
-    """Build the compatibility system, pinned for Z-extendability of pin[1].
+def build_compatibility_system(s_set: SectionSet) -> CompatibilitySystem:
+    """Build the homogeneous compatibility system of s_set.
 
     For every codimension-1 inclusion C' of C and every s' stored at C' there
     is one equation: the coefficients of the sections at C restricting to s'
-    sum to the coefficient of s'.  The pinned context contributes constants
-    (1 for the pinned section, 0 for its siblings), which moves to the
-    right-hand side.
+    sum to the coefficient of s'.  Each section at C restricts to one s', so
+    every entry is +1 or -1.
     """
-    pin_ctx, pin_sec = pin if pin is not None else (None, None)
-    if pin is not None and pin_sec not in s_set.sections.get(pin_ctx, ()):
-        raise ValueError("pinned section is not stored in the section set")
-    variables = [(c, s) for c in s_set.contexts() if c != pin_ctx
+    variables = [(c, s) for c in s_set.contexts()
                  for s in sorted(s_set.sections[c])]
     var_of = {cs: i for i, cs in enumerate(variables)}
     rows: list[dict[int, int]] = []
-    rhs: list[int] = []
     for c in s_set.contexts():
-        if not c:
-            continue
         for i in range(len(c)):
             sub = c[:i] + c[i + 1:]
             groups: dict[Section, dict[int, int]] = {}
-            pinned_hits: dict[Section, int] = {}
             for s in s_set.sections[c]:
-                r = s[:i] + s[i + 1:]
-                if c == pin_ctx:
-                    if s == pin_sec:
-                        pinned_hits[r] = pinned_hits.get(r, 0) + 1
-                else:
-                    row = groups.setdefault(r, {})
-                    v = var_of[(c, s)]
-                    row[v] = row.get(v, 0) + 1
+                groups.setdefault(s[:i] + s[i + 1:], {})[var_of[(c, s)]] = 1
             for sp in sorted(s_set.sections[sub]):
-                row = dict(groups.get(sp, {}))
-                const = pinned_hits.get(sp, 0)
-                if sub == pin_ctx:
-                    const -= 1 if sp == pin_sec else 0
-                else:
-                    v = var_of[(sub, sp)]
-                    row[v] = row.get(v, 0) - 1
+                row = groups.get(sp, {})
+                row[var_of[(sub, sp)]] = -1
                 rows.append(row)
-                rhs.append(-const)
-    return CompatibilitySystem(variables, var_of, rows, rhs)
+    return CompatibilitySystem(variables, var_of, rows)
 
 
 def _inverse(c: Context, s: Section) -> tuple[Context, Section]:
@@ -124,18 +97,6 @@ def invert_section_set(s_set: SectionSet) -> SectionSet:
 
 # --- fixpoint machinery ------------------------------------------------------
 
-class _SweepStats:
-    __slots__ = ("max_rows", "max_cols")
-
-    def __init__(self):
-        self.max_rows = 0
-        self.max_cols = 0
-
-    def record(self, rows: int, cols: int) -> None:
-        self.max_rows = max(self.max_rows, rows)
-        self.max_cols = max(self.max_cols, cols)
-
-
 class _Kernel:
     """An integer kernel basis of one direction's compatibility system, kept
     across the sweeps of one fixpoint run.
@@ -149,10 +110,11 @@ class _Kernel:
     """
 
     basis: Optional[list[dict[int, int]]] = None  # None until the first sweep
+    shape: Optional[dict[str, int]] = None  # the built system's rows and cols
 
-    def build(self, s_set: SectionSet, stats: _SweepStats) -> None:
+    def build(self, s_set: SectionSet) -> None:
         system = build_compatibility_system(s_set)
-        stats.record(system.n_rows, system.n_vars)
+        self.shape = {"rows": system.n_rows, "cols": system.n_vars}
         self.variables = system.variables
         self.empty_var = system.var_of[((), ())]
         # the maximal contexts and each variable's (context, position) among them
@@ -194,8 +156,7 @@ class _Kernel:
         self.basis = kept
 
 
-def _zext_sweep(s_set: SectionSet, stats: _SweepStats,
-                kernel: Optional[_Kernel] = None
+def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
                 ) -> Optional[list[tuple[Context, Section]]]:
     """Find the stored sections that are not Z-extendable in s_set.
 
@@ -214,7 +175,7 @@ def _zext_sweep(s_set: SectionSet, stats: _SweepStats,
     """
     kernel = kernel or _Kernel()
     if kernel.basis is None:
-        kernel.build(s_set, stats)
+        kernel.build(s_set)
     else:
         kernel.restrict(s_set)
     basis, slot, top = kernel.basis, kernel.slot, kernel.top
@@ -260,15 +221,17 @@ def _classical(s_set: SectionSet, log: list[dict]) -> SectionSet:
 
 
 def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
-                        removed_log: list[dict], stats: _SweepStats
-                        ) -> SectionSet:
+                        removed_log: list[dict]
+                        ) -> tuple[SectionSet, Optional[dict[str, int]]]:
     """Continue from the classical fixpoint t, whose per-round removals are
-    `pre`, to the cohomological one.
+    `pre`, to the cohomological one.  Also returns the shape of the first
+    forward system (None if there was none), the largest: later sets are
+    subsets of the first, and inversion keeps the shape.
 
     The classical fixpoint (flasque for kind=hom, bijective forth for
     kind=isom) is logged as iteration 0.  Each later iteration removes the
     sections that are not Z-extendable (Z-bi-extendable for isomorphisms) and
-    re-runs the classical fixpoint.  t is modified in place.
+    re-runs the classical fixpoint.  t itself loses the first round's removals.
     """
     bi_directional = t.kind == "isom"
     label = _CHECK_LABEL[t.kind]
@@ -283,20 +246,14 @@ def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
     iteration = 0
     while not t.is_empty():
         iteration += 1
-        failures = _zext_sweep(t, stats, forward)
+        failures = _zext_sweep(t, forward)
+        back: Optional[list[tuple[Context, Section]]] = []
         if bi_directional and failures is not None:
-            back = _zext_sweep(invert_section_set(t), stats, backward)
-            if back is None:
-                failures = None
-            else:
-                failures = set(failures).union(_inverse(c, s) for c, s in back)
-        if failures is None:
-            count = t.total()
-            for secs in t.sections.values():
-                secs.clear()
-            removed_log.append({"iteration": iteration, label: 0,
-                                "closure": 0, "zext": count, "remaining": 0})
-            break
+            back = _zext_sweep(invert_section_set(t), backward)
+        if failures is None or back is None:  # the empty section fails, so all do
+            failures = [(c, s) for c, secs in t.sections.items() for s in secs]
+        elif back:
+            failures = set(failures).union(_inverse(c, s) for c, s in back)
         if not failures:
             removed_log.append({"iteration": iteration, label: 0,
                                 "closure": 0, "zext": 0,
@@ -313,7 +270,7 @@ def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
             label: sum(e["forth"] for e in post),
             "remaining": t.total(),
         })
-    return t
+    return t, forward.shape
 
 
 # --- decision procedures with reports ----------------------------------------
@@ -338,20 +295,11 @@ class DecisionReport:
         return self.verdict == "accept"
 
     def to_dict(self) -> dict:
-        doc = {
-            "verdict": self.verdict,
-            "k": self.k,
-            "method": self.method,
-            "iterations": self.iterations,
-            "removed": self.removed,
-            "max_system": self.max_system,
-            "ms": self.ms,
-            "sections_remaining": self.sections_remaining,
-            "sections_per_size": {str(k): v
-                                  for k, v in sorted(self.sections_per_size.items())},
-        }
-        if self.reason is not None:
-            doc["reason"] = self.reason
+        doc = asdict(self)
+        doc["sections_per_size"] = {str(k): v
+                                    for k, v in sorted(self.sections_per_size.items())}
+        if self.reason is None:
+            del doc["reason"]
         return doc
 
     def to_json(self) -> str:
@@ -359,16 +307,15 @@ class DecisionReport:
 
 
 def _finish_report(method: str, k: int, t: SectionSet, removed_log: list[dict],
-                   stats: _SweepStats, t0: float,
+                   t0: float, max_system: Optional[dict[str, int]] = None,
                    reason: Optional[str] = None) -> DecisionReport:
-    iterations = max((e["iteration"] for e in removed_log), default=0)
     return DecisionReport(
         verdict="accept" if not t.is_empty() else "reject",
         k=k,
         method=method,
-        iterations=iterations,
+        iterations=max((e["iteration"] for e in removed_log), default=0),
         removed=removed_log,
-        max_system={"rows": stats.max_rows, "cols": stats.max_cols},
+        max_system=max_system or {"rows": 0, "cols": 0},
         ms=round((time.perf_counter() - t0) * 1000.0, 3),
         sections_remaining=t.total(),
         sections_per_size=t.per_size(),
@@ -400,16 +347,16 @@ def run_decision(a: Structure, b: Structure, k: int, method: str,
     t0 = time.perf_counter()
     if kind == "isom" and a.size != b.size:
         empty = SectionSet(a, b, k, kind)
-        return [_finish_report(m, k, empty, [], _SweepStats(), t0, reason="size")
+        return [_finish_report(m, k, empty, [], t0, reason="size")
                 for m in methods]
     pre: list[dict] = []
     t = _classical(enumerate_sections(a, b, k, kind), pre)
     log = [{"iteration": i + 1, _CHECK_LABEL[kind]: e["forth"],
             "closure": e["closure"], "zext": 0} for i, e in enumerate(pre)]
-    reports = [_finish_report(methods[0], k, t, log, _SweepStats(), t0)]
+    reports = [_finish_report(methods[0], k, t, log, t0)]
     if method == "cohomological":
         removed_log: list[dict] = []
-        stats = _SweepStats()
-        t = _run_cohom_fixpoint(t, pre, removed_log, stats)
-        reports.append(_finish_report(methods[1], k, t, removed_log, stats, t0))
+        t, max_system = _run_cohom_fixpoint(t, pre, removed_log)
+        reports.append(_finish_report(methods[1], k, t, removed_log, t0,
+                                      max_system))
     return reports

@@ -293,6 +293,17 @@ class _Gadgets:
     def eid(self, x: int, local: int) -> int:
         return self.offset[x] + local
 
+    def edge_pairs(self, spec: CfiSpec) -> Iterator[tuple[int, int, int, int, int]]:
+        """(x, i, y, j, c) for each base edge (x, y) and elements i of gadget
+        x, j of gadget y, with c = a_i[y] + b_j[x] - twist(x, y) mod q."""
+        for (x, y) in self.base.edge_list():
+            tw = spec.twist[(x, y)]
+            posxy = self.neighbors[x].index(y)
+            posyx = self.neighbors[y].index(x)
+            for i, a in enumerate(self.elements[x]):
+                for j, b in enumerate(self.elements[y]):
+                    yield x, i, y, j, (a[posxy] + b[posyx] - tw) % self.q
+
 
 def cfi_structure(spec: CfiSpec) -> Structure:
     """The structure CFI_q(G, g): gadgets, a linear preorder between them,
@@ -310,8 +321,7 @@ def cfi_structure(spec: CfiSpec) -> Structure:
                     prec.append((g.eid(x, i), g.eid(y, j)))
     ri, rc = [], []
     for x in range(spec.base.n):
-        for y in g.neighbors[x]:
-            pos = g.neighbors[x].index(y)
+        for pos, y in enumerate(g.neighbors[x]):
             for i, a in enumerate(g.elements[x]):
                 for j, b in enumerate(g.elements[x]):
                     pad = [(g.eid(x, i), g.eid(x, j), g.eid(y, c))
@@ -321,15 +331,9 @@ def cfi_structure(spec: CfiSpec) -> Structure:
                     if a[pos] == (b[pos] + 1) % q:
                         rc.extend(pad)
     re: dict[int, list[tuple[int, int]]] = {c: [] for c in range(q)}
-    for (x, y) in spec.base.edge_list():
-        tw = spec.twist[(x, y)] % q
-        posxy = g.neighbors[x].index(y)
-        posyx = g.neighbors[y].index(x)
-        for i, a in enumerate(g.elements[x]):
-            for j, b in enumerate(g.elements[y]):
-                c = (a[posxy] + b[posyx] - tw) % q
-                re[c].append((g.eid(x, i), g.eid(y, j)))
-                re[c].append((g.eid(y, j), g.eid(x, i)))
+    for x, i, y, j, c in g.edge_pairs(spec):
+        re[c].append((g.eid(x, i), g.eid(y, j)))
+        re[c].append((g.eid(y, j), g.eid(x, i)))
     relations = {"prec": prec, "RI": ri, "RC": rc}
     for c in range(q):
         relations[f"RE{c}"] = re[c]
@@ -355,13 +359,10 @@ def cfi_equations(spec: CfiSpec) -> AffineSystem:
             eqs.append(((1,) * len(idx), idx, 0))
     # same-value and cycle constraints
     for x in range(spec.base.n):
-        for y in g.neighbors[x]:
-            pos = g.neighbors[x].index(y)
+        for pos, y in enumerate(g.neighbors[x]):
             elems = g.elements[x]
             for i in range(len(elems)):
-                for j in range(len(elems)):
-                    if i == j:
-                        continue
+                for j in range(len(elems)):  # i == j meets neither condition
                     vi = var_of[(g.eid(x, i), y)]
                     vj = var_of[(g.eid(x, j), y)]
                     if elems[i][pos] == elems[j][pos] and i < j:
@@ -369,16 +370,10 @@ def cfi_equations(spec: CfiSpec) -> AffineSystem:
                     if elems[i][pos] == (elems[j][pos] + 1) % q:
                         eqs.append(((1, q - 1), (vi, vj), 1))
     # edge constraints, shifted by the twist
-    for (x, y) in spec.base.edge_list():
-        tw = spec.twist[(x, y)] % q
-        posxy = g.neighbors[x].index(y)
-        posyx = g.neighbors[y].index(x)
-        for i, a in enumerate(g.elements[x]):
-            for j, b in enumerate(g.elements[y]):
-                c = (a[posxy] + b[posyx] - tw) % q
-                eqs.append(((1, 1),
-                            (var_of[(g.eid(x, i), y)], var_of[(g.eid(y, j), x)]),
-                            c))
+    for x, i, y, j, c in g.edge_pairs(spec):
+        eqs.append(((1, 1),
+                    (var_of[(g.eid(x, i), y)], var_of[(g.eid(y, j), x)]),
+                    c))
     return AffineSystem(q, len(var_of), tuple(eqs))
 
 
@@ -527,14 +522,12 @@ def _random_regular(rng: random.Random, n: int, d: int) -> OrderedGraph:
     while True:
         rng.shuffle(stubs)
         edges = set()
-        ok = True
         for i in range(0, len(stubs), 2):
             u, v = stubs[i], stubs[i + 1]
             if u == v or tuple(sorted((u, v))) in edges:
-                ok = False
                 break
             edges.add(tuple(sorted((u, v))))
-        if ok:
+        else:
             return OrderedGraph.make(n, edges)
 
 

@@ -63,20 +63,8 @@ class SparseEchelon:
         self.pivot_order: list[tuple[int, Optional[int]]] = []
         self._eliminate()
 
-    def _set_entry(self, col: int, r: int, v: int) -> None:
-        cd = self.cols[col]
-        if v:
-            if r not in cd and not self._done[r]:
-                self._row_index[r].add(col)
-            cd[r] = v
-        else:
-            if cd.pop(r, None) is not None and not self._done[r]:
-                self._row_index[r].discard(col)
-
     def _addmul(self, dst: int, src: int, q: int) -> None:
         """col[dst] += q * col[src]."""
-        if q == 0:
-            return
         cd = self.cols[dst]
         done, index = self._done, self._row_index
         for r, v in self.cols[src].items():
@@ -98,38 +86,18 @@ class SparseEchelon:
                 else:
                     kd.pop(c, None)
 
-    def _combine(self, acc: int, other: int, r: int) -> None:
-        """Unimodular 2-column update zeroing col[other] at row r."""
-        a = self.cols[acc].get(r, 0)
-        v = self.cols[other].get(r, 0)
-        if v == 0:
-            return
-        if a != 0 and v % a == 0:
-            self._addmul(other, acc, -(v // a))
-            return
-        g, u, w = _ext_gcd(a, v)
-        aa, bb = a // g, v // g
-        keys = set(self.cols[acc]) | set(self.cols[other])
-        old_a = dict(self.cols[acc])
-        old_o = dict(self.cols[other])
-        for k in keys:
-            x, y = old_a.get(k, 0), old_o.get(k, 0)
-            self._set_entry(acc, k, u * x + w * y)
-            self._set_entry(other, k, -bb * x + aa * y)
-        if self.track:
-            ka, ko = self.combos[acc], self.combos[other]
-            nka: dict[int, int] = {}
-            nko: dict[int, int] = {}
-            for k in set(ka) | set(ko):
-                x, y = ka.get(k, 0), ko.get(k, 0)
-                s = u * x + w * y
-                t = -bb * x + aa * y
-                if s:
-                    nka[k] = s
-                if t:
-                    nko[k] = t
-            self.combos[acc] = nka
-            self.combos[other] = nko
+    def _combine(self, acc: int, other: int, r: int) -> int:
+        """Zero row r in one of columns acc and other by Euclid's division
+        steps, each a unimodular column operation; return the column left
+        holding their gcd there."""
+        a, v = self.cols[acc][r], self.cols[other].get(r, 0)
+        while v:
+            q = v // a
+            self._addmul(other, acc, -q)
+            v -= q * a
+            if v:
+                acc, other, a, v = other, acc, v, a
+        return acc
 
     def _eliminate(self) -> None:
         nrows = len(self._row_index)
@@ -143,15 +111,14 @@ class SparseEchelon:
             if len(active) != size:
                 heapq.heappush(heap, (len(active), r))
                 continue
+            self._done[r] = True  # _addmul stops updating the index of row r
             if not active:
-                self._done[r] = True
                 self.pivot_order.append((r, None))
                 continue
             acc = min(active, key=lambda c: (abs(self.cols[c].get(r, 0)),
                                              len(self.cols[c]), c))
             for other in sorted(active - {acc}):
-                self._combine(acc, other, r)
-            self._done[r] = True
+                acc = self._combine(acc, other, r)
             self.pivot_order.append((r, acc))
             self.live.discard(acc)
             # acc is frozen: drop it from the index of remaining rows
@@ -161,21 +128,17 @@ class SparseEchelon:
 
     def feasible(self, rhs: dict[int, int]) -> bool:
         """Decide integer solvability of M x = rhs (rhs sparse over rows)."""
-        return self._solve(rhs, want_witness=False) is not False
+        return self._solve(rhs) is not None
 
     def solve(self, rhs: dict[int, int]) -> Optional[list[int]]:
         """Return x with M x = rhs, or None.  Requires track_combos=True."""
         if not self.track:
             raise ValueError("witness extraction requires track_combos=True")
-        out = self._solve(rhs, want_witness=True)
-        if out is False:
-            return None
-        x = [0] * self.n_cols
-        for c, v in out.items():  # type: ignore[union-attr]
-            x[c] = v
-        return x
+        out = self._solve(rhs)
+        return None if out is None else [out.get(c, 0) for c in range(self.n_cols)]
 
-    def _solve(self, rhs: dict[int, int], want_witness: bool):
+    def _solve(self, rhs: dict[int, int]) -> Optional[dict[int, int]]:
+        """Sparse x with M x = rhs (empty unless track_combos), or None."""
         residual = dict(rhs)
         witness: dict[int, int] = {}
         for r, piv in self.pivot_order:
@@ -183,27 +146,25 @@ class SparseEchelon:
             if val == 0:
                 continue
             if piv is None:
-                return False
+                return None
             p = self.cols[piv][r]
             q, rem = divmod(val, p)
             if rem:
-                return False
+                return None
             for rr, v in self.cols[piv].items():
                 nv = residual.get(rr, 0) - q * v
                 if nv:
                     residual[rr] = nv
                 else:
                     residual.pop(rr, None)
-            if want_witness and q:
+            if self.track and q:
                 for c, v in self.combos[piv].items():
                     nv = witness.get(c, 0) + q * v
                     if nv:
                         witness[c] = nv
                     else:
                         witness.pop(c, None)
-        if residual:
-            return False
-        return witness if want_witness else True
+        return None if residual else witness
 
     def kernel_basis(self) -> list[dict[int, int]]:
         """Integer basis of {x : M x = 0} as sparse coefficient dicts."""

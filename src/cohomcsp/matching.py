@@ -38,5 +38,4 @@ def maximum_matching(n_left: int, n_right: int,
 
 def has_perfect_matching(n: int, adj: Sequence[Sequence[int]]) -> bool:
     """True iff the bipartite graph on n + n vertices has a perfect matching."""
-    match_left = maximum_matching(n, n, adj)
-    return all(v != -1 for v in match_left)
+    return -1 not in maximum_matching(n, n, adj)

@@ -9,7 +9,9 @@ affine system over Z_q by integer feasibility through `SparseEchelon`, a
 second known-answer oracle next to `affine_solvable_brute`.  The
 pinned-section routines decide Z-extendability of one section at a time by
 its own pinned compatibility system, which is what the engine's kernel sweep
-must agree with.  `restrict` cuts a validated
+must agree with: the engine's homogeneous system plus one unit row per
+section at the pinned context, with the pinned section's indicator as the
+right-hand side.  `restrict` cuts a validated
 `LocalSection` down to a sub-context by looking its elements up, where the
 engine drops one value per codimension-1 face.  `remove_with_upset`,
 `downward_close` and `same_sections` are the naive section-set operations the
@@ -29,7 +31,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from cohomcsp.cohomology import (_classical, _run_cohom_fixpoint, _SweepStats,
+from cohomcsp.cohomology import (CompatibilitySystem, _classical,
+                                 _run_cohom_fixpoint,
                                  build_compatibility_system,
                                  invert_section_set)
 from cohomcsp.generators import AffineSystem
@@ -319,27 +322,39 @@ class ZLinearSection:
         return dict(self.coefficients)
 
 
+def pinned_system(s_set: SectionSet, c: Context, s: Section
+                  ) -> tuple[CompatibilitySystem, dict[int, int]]:
+    """The compatibility system with one unit row per section at c, and its
+    right-hand side: the indicator of s on those rows (r_C = s exactly)."""
+    if s not in s_set.sections.get(c, ()):
+        raise ValueError("pinned section is not stored in the section set")
+    system = build_compatibility_system(s_set)
+    rhs: dict[int, int] = {}
+    for sib in sorted(s_set.sections[c]):
+        if sib == s:
+            rhs[system.n_rows] = 1
+        system.rows.append({system.var_of[(c, sib)]: 1})
+    return system, rhs
+
+
 def z_extendable(s_set: SectionSet, c: Context, s: Section) -> bool:
     """True iff the compatibility system pinned at s has an integer solution."""
-    system = build_compatibility_system(s_set, (c, s))
-    ech = SparseEchelon(system.n_vars, system.rows)
-    return ech.feasible({i: v for i, v in enumerate(system.rhs) if v})
+    system, rhs = pinned_system(s_set, c, s)
+    return SparseEchelon(system.n_vars, system.rows).feasible(rhs)
 
 
 def z_linear_witness(s_set: SectionSet, c: Context, s: Section
                      ) -> Optional[dict[Context, ZLinearSection]]:
     """A global Z-linear section pinning s, or None when s is not Z-extendable."""
-    system = build_compatibility_system(s_set, (c, s))
+    system, rhs = pinned_system(s_set, c, s)
     ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
-    x = ech.solve({i: v for i, v in enumerate(system.rhs) if v})
+    x = ech.solve(rhs)
     if x is None:
         return None
     per_ctx: dict[Context, dict[Section, int]] = {
         u: {} for u in s_set.contexts()}
     for (u, sec), i in system.var_of.items():
         per_ctx[u][sec] = x[i]
-    for sib in s_set.sections[c]:
-        per_ctx[c][sib] = 1 if sib == s else 0
     return {u: ZLinearSection(u, tuple(sorted(v.items())))
             for u, v in per_ctx.items()}
 
@@ -359,7 +374,7 @@ def cohom_fixpoint(s_set: SectionSet) -> SectionSet:
     classical-then-cohomological run (what `run_decision` does after
     enumeration)."""
     pre: list[dict] = []
-    return _run_cohom_fixpoint(_classical(s_set, pre), pre, [], _SweepStats())
+    return _run_cohom_fixpoint(_classical(s_set, pre), pre, [])[0]
 
 
 # --- naive section-set operations --------------------------------------------

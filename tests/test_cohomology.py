@@ -10,13 +10,13 @@ from cohomcsp import (AffineSystem, CfiSpec, IntLattice, LocalSection,
                       invert_section_set, is_partial_iso, run_decision,
                       tseitin_system, named_graph, wl_fixpoint, zero_twist)
 from cohomcsp import cohomology
-from cohomcsp.cohomology import _classical, _Kernel, _SweepStats, _zext_sweep
+from cohomcsp.cohomology import _classical, _Kernel, _zext_sweep
 from cohomcsp.presheaf import _remove_and_close
 from conftest import (complete_structure, cycle_structure,
                       graph_structure, random_structure)
-from reference import (cohom_fixpoint, downward_close, remove_with_upset,
-                       restrict, same_sections, z_bi_extendable, z_extendable,
-                       z_linear_witness)
+from reference import (cohom_fixpoint, downward_close, pinned_system,
+                       remove_with_upset, restrict, same_sections,
+                       z_bi_extendable, z_extendable, z_linear_witness)
 
 
 def _witness_is_global_section(s_set, witness, pinned):
@@ -24,7 +24,7 @@ def _witness_is_global_section(s_set, witness, pinned):
     pinned is a (context, values) pair."""
     for c in s_set.contexts():
         coeffs = witness[c].as_dict()
-        assert set(coeffs) <= s_set.at(c) | set(coeffs)
+        assert set(coeffs) <= s_set.at(c)
         for i in range(len(c)):
             sub = c[:i] + c[i + 1:]
             marg = {}
@@ -46,9 +46,11 @@ def test_compat_system_single_context_pins_empty_section():
     b = graph_structure(2, [])
     s = enumerate_sections(a, b, 1, "hom")
     pin = (1,)
-    system = build_compatibility_system(s, ((0,), pin))
-    # variables: only the empty section remains after substitution
-    assert system.n_vars == 1
+    system = build_compatibility_system(s)
+    # variables: the empty section and both sections at (0,); one row ties
+    # the two singletons to the empty section
+    assert system.n_vars == 3
+    assert system.n_rows == 1
     witness = z_linear_witness(s, (0,), pin)
     assert witness is not None
     assert witness[()].as_dict()[()] == 1
@@ -60,10 +62,8 @@ def test_compat_system_dimension_formulas():
     a = cycle_structure(6)
     b = complete_structure(2)
     s = enumerate_sections(a, b, 3, "hom")
-    pin_ctx = (0,)
-    pin = sorted(s.at(pin_ctx))[0]
-    system = build_compatibility_system(s, (pin_ctx, pin))
-    n_vars = sum(len(s.at(c)) for c in s.contexts()) - len(s.at(pin_ctx))
+    system = build_compatibility_system(s)
+    n_vars = sum(len(s.at(c)) for c in s.contexts())
     n_rows = 0
     for c in s.contexts():
         for i in range(len(c)):
@@ -71,6 +71,15 @@ def test_compat_system_dimension_formulas():
             n_rows += len(s.at(sub))
     assert system.n_vars == n_vars
     assert system.n_rows == n_rows
+    # the reference pin adds one unit row per section at the pinned context
+    pin_ctx = (0,)
+    pin = sorted(s.at(pin_ctx))[0]
+    pinned, rhs = pinned_system(s, pin_ctx, pin)
+    assert pinned.n_vars == n_vars
+    assert pinned.n_rows == n_rows + len(s.at(pin_ctx))
+    assert rhs == {n_rows: 1}
+    with pytest.raises(ValueError):
+        pinned_system(s, pin_ctx, (2,))  # B has no element 2
 
 
 def test_restriction_of_total_hom_is_z_extendable(rng):
@@ -123,7 +132,7 @@ def test_sweep_matches_per_pin_zext(rng):
         s = classical_fixpoint(enumerate_sections(a, b, 2, "hom"))
         if s.is_empty():
             continue
-        failures = _zext_sweep(s, _SweepStats())
+        failures = _zext_sweep(s)
         if failures is None:
             assert not z_extendable(s, (), ())
             continue
@@ -168,7 +177,7 @@ def test_restricted_kernel_equals_rebuilt_kernel(seed, kind, rounds):
     s = _classical(enumerate_sections(a, b, 2, kind), [])
     assume(not s.is_empty())
     kernel = _Kernel()
-    kernel.build(s, _SweepStats())
+    kernel.build(s)
     for _ in range(rounds):
         stored = [(c, sec) for c in s.contexts() if c for sec in sorted(s.at(c))]
         if not stored:
@@ -195,11 +204,11 @@ def test_reused_kernel_sweeps_match_fresh_sweeps(monkeypatch):
     sweep = cohomology._zext_sweep
     restricted = set()
 
-    def checked(s_set, stats, kernel):
+    def checked(s_set, kernel):
         if kernel.basis is not None:
             restricted.add(id(kernel))
-        failures = sweep(s_set, stats, kernel)
-        assert failures == sweep(s_set, _SweepStats())
+        failures = sweep(s_set, kernel)
+        assert failures == sweep(s_set)
         return failures
 
     monkeypatch.setattr(cohomology, "_zext_sweep", checked)
@@ -230,6 +239,22 @@ def test_invert_section_set():
             assert is_partial_iso(LocalSection(c, sec, "isom"), a, a)
     with pytest.raises(ValueError):
         invert_section_set(enumerate_sections(a, a, 2, "hom"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3))
+def test_inverted_system_has_the_same_shape(seed, k):
+    """Inverting an isomorphism set keeps its compatibility system's rows and
+    columns, raw and at the k-WL fixpoint, so the backward system is never
+    larger than the forward one."""
+    rng = random.Random(seed)
+    a = random_structure(rng, rng.randint(1, 4))
+    b = a if rng.random() < 0.5 else random_structure(rng, a.size)
+    raw = enumerate_sections(a, b, k, "isom")
+    for s in (raw, wl_fixpoint(raw)):
+        system = build_compatibility_system(s)
+        inverse = build_compatibility_system(invert_section_set(s))
+        assert (inverse.n_rows, inverse.n_vars) == (system.n_rows, system.n_vars)
 
 
 def test_z_bi_extendable_basics():

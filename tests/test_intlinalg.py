@@ -104,26 +104,33 @@ def test_sparse_echelon_matches_dense_solver():
 
 
 def test_sparse_kernel_basis_spans_kernel():
+    """Entries from {0, 1, -1, 2} make every column combine an exact
+    division; the coprime non-unit draw needs Euclid's remainder steps.  The
+    basis must span the kernel of the transposed row HNF: the rows of U
+    whose H rows vanish."""
     rng = random.Random(17)
-    for _ in range(100):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        dense = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(cols)]
-                 for _ in range(rows)]
-        m = IntMatrix.from_rows(dense)
-        sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
-        ech = SparseEchelon(cols, sparse_rows, track_combos=True)
-        basis = ech.kernel_basis()
-        lattice = IntLattice(cols)
-        for vec in basis:
-            dense_vec = [vec.get(j, 0) for j in range(cols)]
-            assert m.matvec(dense_vec) == [0] * rows
-            lattice.add(dense_vec)
-        # every small integer kernel vector must lie in the spanned lattice
-        import itertools
-        for x in itertools.product(range(-2, 3), repeat=cols):
-            if m.matvec(list(x)) == [0] * rows:
-                assert lattice.contains(list(x))
+    for entries in ([0, 0, 1, -1, 2], [0, 0, 2, 3, -3, 4]):
+        for _ in range(100):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 5)
+            dense = [[rng.choice(entries) for _ in range(cols)]
+                     for _ in range(rows)]
+            m = IntMatrix.from_rows(dense)
+            sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
+            ech = SparseEchelon(cols, sparse_rows, track_combos=True)
+            basis = [[vec.get(j, 0) for j in range(cols)]
+                     for vec in ech.kernel_basis()]
+            hnf = hermite_normal_form(m.transpose())
+            reference = hnf.U.to_rows()[hnf.rank:]
+            assert len(basis) == len(reference)
+            lattice, ref_lattice = IntLattice(cols), IntLattice(cols)
+            for vec in basis:
+                assert m.matvec(vec) == [0] * rows
+                lattice.add(vec)
+            for vec in reference:
+                ref_lattice.add(vec)
+            assert all(lattice.contains(v) for v in reference)
+            assert all(ref_lattice.contains(v) for v in basis)
 
 
 def test_int_lattice_membership():
