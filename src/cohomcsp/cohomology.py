@@ -8,8 +8,8 @@ such a family is a sparse homogeneous linear system over Z (one equation per
 codimension-1 inclusion and target section); pinning s turns membership into
 an integer feasibility problem.  Sections that are not Z-extendable cannot be
 part of any global section, so the decision procedure starts from the
-classical fixpoint, removes them, re-runs the classical closure, and iterates
-to a greatest fixpoint.  Each round's system is the last one's minus an
+classical fixpoint, removes them, propagates the classical check from the
+removals in place, and iterates to a greatest fixpoint.  Each round's system is the last one's minus an
 upward-closed set of sections, so its kernel is cut down from the last one's.
 
 Restrictions compose, so compatibility constraints are generated only for
@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .intlinalg import IntLattice, SparseEchelon
-from .presheaf import (Context, Section, SectionSet, _remove_and_close,
+from .presheaf import (Context, Section, SectionSet, _propagate,
                        classical_fixpoint, enumerate_sections, wl_fixpoint)
 from .structures import Structure
 
@@ -124,7 +124,7 @@ class _Kernel:
         for i, (c, secs) in enumerate(self.top):
             for t, s in enumerate(secs):
                 self.slot[system.var_of[(c, s)]] = (i, t)
-        ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
+        ech = SparseEchelon(system.n_vars, system.rows)
         self.basis = ech.kernel_basis()
 
     def restrict(self, s_set: SectionSet) -> None:
@@ -146,7 +146,7 @@ class _Kernel:
             for r, x in at:
                 rows[r][len(hits)] = x
             (hits if at else kept).append(vec)
-        ech = SparseEchelon(len(hits), rows, track_combos=True)
+        ech = SparseEchelon(len(hits), rows)
         for combo in ech.kernel_basis():
             acc: dict[int, int] = {}
             for j, q in combo.items():
@@ -214,34 +214,19 @@ def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
 _CHECK_LABEL = {"hom": "forth", "isom": "bijforth"}
 
 
-def _classical(s_set: SectionSet, log: list[dict]) -> SectionSet:
-    """The classical fixpoint of the set's kind: k-consistency or k-WL."""
-    fixpoint = wl_fixpoint if s_set.kind == "isom" else classical_fixpoint
-    return fixpoint(s_set, log)
+def _run_cohom_fixpoint(t: SectionSet, removed_log: list[dict]
+                        ) -> Optional[dict[str, int]]:
+    """Shrink the classical fixpoint t in place to the cohomological one, and
+    return the shape of the first forward system (None if there was none),
+    the largest: later sets are subsets of the first, and inversion keeps the
+    shape.
 
-
-def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
-                        removed_log: list[dict]
-                        ) -> tuple[SectionSet, Optional[dict[str, int]]]:
-    """Continue from the classical fixpoint t, whose per-round removals are
-    `pre`, to the cohomological one.  Also returns the shape of the first
-    forward system (None if there was none), the largest: later sets are
-    subsets of the first, and inversion keeps the shape.
-
-    The classical fixpoint (flasque for kind=hom, bijective forth for
-    kind=isom) is logged as iteration 0.  Each later iteration removes the
-    sections that are not Z-extendable (Z-bi-extendable for isomorphisms) and
-    re-runs the classical fixpoint.  t itself loses the first round's removals.
+    Each iteration removes the sections that are not Z-extendable
+    (Z-bi-extendable for isomorphisms) and propagates the classical check of
+    t's kind (forth for hom, bijective forth for isom) from the removals; its
+    entry in removed_log splits the removals by cause.
     """
     bi_directional = t.kind == "isom"
-    label = _CHECK_LABEL[t.kind]
-    removed_log.append({
-        "iteration": 0,
-        label: sum(e["forth"] for e in pre),
-        "closure": sum(e["closure"] for e in pre),
-        "zext": 0,
-        "remaining": t.total(),
-    })
     forward, backward = _Kernel(), _Kernel()
     iteration = 0
     while not t.is_empty():
@@ -254,23 +239,18 @@ def _run_cohom_fixpoint(t: SectionSet, pre: list[dict],
             failures = [(c, s) for c, secs in t.sections.items() for s in secs]
         elif back:
             failures = set(failures).union(_inverse(c, s) for c, s in back)
-        if not failures:
-            removed_log.append({"iteration": iteration, label: 0,
-                                "closure": 0, "zext": 0,
-                                "remaining": t.total()})
-            break
-        removed = _remove_and_close(t, failures)
-        closure = len(removed) - len(failures)
-        post: list[dict] = []
-        t = _classical(t, post)
+        rounds: list[dict[str, int]] = []
+        _propagate(t, failures, rounds)
         removed_log.append({
             "iteration": iteration,
             "zext": len(failures),
-            "closure": closure + sum(e["closure"] for e in post),
-            label: sum(e["forth"] for e in post),
+            "closure": sum(e["closure"] for e in rounds),
+            _CHECK_LABEL[t.kind]: sum(e["forth"] for e in rounds[1:]),
             "remaining": t.total(),
         })
-    return t, forward.shape
+        if not failures:
+            break
+    return forward.shape
 
 
 # --- decision procedures with reports ----------------------------------------
@@ -349,14 +329,18 @@ def run_decision(a: Structure, b: Structure, k: int, method: str,
         empty = SectionSet(a, b, k, kind)
         return [_finish_report(m, k, empty, [], t0, reason="size")
                 for m in methods]
+    label = _CHECK_LABEL[kind]
+    fixpoint = wl_fixpoint if kind == "isom" else classical_fixpoint
     pre: list[dict] = []
-    t = _classical(enumerate_sections(a, b, k, kind), pre)
-    log = [{"iteration": i + 1, _CHECK_LABEL[kind]: e["forth"],
-            "closure": e["closure"], "zext": 0} for i, e in enumerate(pre)]
+    t = fixpoint(enumerate_sections(a, b, k, kind), pre)
+    log = [{"iteration": i + 1, label: e["forth"], "closure": e["closure"],
+            "zext": 0} for i, e in enumerate(pre)]
     reports = [_finish_report(methods[0], k, t, log, t0)]
     if method == "cohomological":
-        removed_log: list[dict] = []
-        t, max_system = _run_cohom_fixpoint(t, pre, removed_log)
+        removed_log = [{"iteration": 0, label: sum(e[label] for e in log),
+                        "closure": sum(e["closure"] for e in log), "zext": 0,
+                        "remaining": t.total()}]
+        max_system = _run_cohom_fixpoint(t, removed_log)
         reports.append(_finish_report(methods[1], k, t, removed_log, t0,
                                       max_system))
     return reports

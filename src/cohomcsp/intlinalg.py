@@ -13,39 +13,24 @@ import heapq
 from typing import Optional, Sequence
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b), g > 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 class SparseEchelon:
     """Column echelon form of a sparse integer matrix over Z.
 
     Built once from the rows of a homogeneous coefficient matrix, the echelon
-    then answers ``feasible(rhs)`` queries (is M x = rhs solvable over Z?) by
-    forward substitution along the recorded pivot order, and can emit an
-    integer basis of the kernel lattice when ``track_combos`` is on.
+    then answers ``feasible(rhs)`` and ``solve(rhs)`` queries (is M x = rhs
+    solvable over Z, and by which x?) by forward substitution along the
+    recorded pivot order, and emits an integer basis of the kernel lattice.
 
     Columns are mutated by unimodular column operations, so the column lattice
-    and kernel are those of the input matrix.  Rows are processed greedily by
-    current fill (fewest active columns first), which keeps fill-in low on the
-    marginalisation-style systems this is used for.
+    and kernel are those of the input matrix.  Each column tracks its
+    combination of the input columns: witnesses and kernel vectors are made
+    of them.  Rows are processed greedily by current fill (fewest active
+    columns first), which keeps fill-in low on the marginalisation-style
+    systems this is used for.
     """
 
-    def __init__(self, n_cols: int, rows: Sequence[dict[int, int]],
-                 track_combos: bool = False):
+    def __init__(self, n_cols: int, rows: Sequence[dict[int, int]]):
         self.n_cols = n_cols
-        self.track = track_combos
         # columns as sparse dicts row -> value
         self.cols: list[dict[int, int]] = [dict() for _ in range(n_cols)]
         # for each not-yet-processed row, the live columns touching it
@@ -56,8 +41,7 @@ class SparseEchelon:
                 if v:
                     self.cols[c][r] = v
                     self._row_index[r].add(c)
-        self.combos: list[dict[int, int]] = (
-            [{c: 1} for c in range(n_cols)] if track_combos else [])
+        self.combos: list[dict[int, int]] = [{c: 1} for c in range(n_cols)]
         self.live: set[int] = set(range(n_cols))
         # (row, pivot_col or None) in processing order
         self.pivot_order: list[tuple[int, Optional[int]]] = []
@@ -77,14 +61,13 @@ class SparseEchelon:
                 del cd[r]  # nv == 0 with v != 0: the entry was there
                 if not done[r]:
                     index[r].discard(dst)
-        if self.track:
-            kd, ks = self.combos[dst], self.combos[src]
-            for c, v in ks.items():
-                nv = kd.get(c, 0) + q * v
-                if nv:
-                    kd[c] = nv
-                else:
-                    kd.pop(c, None)
+        kd = self.combos[dst]
+        for c, v in self.combos[src].items():
+            nv = kd.get(c, 0) + q * v
+            if nv:
+                kd[c] = nv
+            else:
+                kd.pop(c, None)
 
     def _combine(self, acc: int, other: int, r: int) -> int:
         """Zero row r in one of columns acc and other by Euclid's division
@@ -131,14 +114,12 @@ class SparseEchelon:
         return self._solve(rhs) is not None
 
     def solve(self, rhs: dict[int, int]) -> Optional[list[int]]:
-        """Return x with M x = rhs, or None.  Requires track_combos=True."""
-        if not self.track:
-            raise ValueError("witness extraction requires track_combos=True")
+        """Return x with M x = rhs, or None."""
         out = self._solve(rhs)
         return None if out is None else [out.get(c, 0) for c in range(self.n_cols)]
 
     def _solve(self, rhs: dict[int, int]) -> Optional[dict[int, int]]:
-        """Sparse x with M x = rhs (empty unless track_combos), or None."""
+        """Sparse x with M x = rhs, or None."""
         residual = dict(rhs)
         witness: dict[int, int] = {}
         for r, piv in self.pivot_order:
@@ -157,19 +138,16 @@ class SparseEchelon:
                     residual[rr] = nv
                 else:
                     residual.pop(rr, None)
-            if self.track and q:
-                for c, v in self.combos[piv].items():
-                    nv = witness.get(c, 0) + q * v
-                    if nv:
-                        witness[c] = nv
-                    else:
-                        witness.pop(c, None)
+            for c, v in self.combos[piv].items():
+                nv = witness.get(c, 0) + q * v
+                if nv:
+                    witness[c] = nv
+                else:
+                    witness.pop(c, None)
         return None if residual else witness
 
     def kernel_basis(self) -> list[dict[int, int]]:
         """Integer basis of {x : M x = 0} as sparse coefficient dicts."""
-        if not self.track:
-            raise ValueError("kernel extraction requires track_combos=True")
         return [self.combos[c] for c in sorted(self.live)]
 
 
@@ -191,27 +169,24 @@ class IntLattice:
     def add(self, vec: Sequence[int]) -> None:
         v = list(vec)
         for j in range(self.dim):
-            b = v[j]
-            if b == 0:
+            if v[j] == 0:
                 continue
             row = self.rows.get(j)
             if row is None:
                 self.rows[j] = [(t, v[t]) for t in range(j, self.dim) if v[t]]
-                self.units += abs(b) == 1
+                self.units += abs(v[j]) == 1
                 return
-            a = row[0][1]
-            if b % a == 0:
-                q = b // a
+            while v[j]:  # Euclid's division steps, each unimodular
+                q = v[j] // row[0][1]
                 for t, x in row:
                     v[t] -= q * x
-            else:
-                g, u, w = _ext_gcd(a, b)
-                aa, bb = a // g, b // g
-                r = dict(row)
-                self.rows[j] = [(t, y) for t in range(j, self.dim)
-                                if (y := u * r.get(t, 0) + w * v[t])]
-                v = [-bb * r.get(t, 0) + aa * y for t, y in enumerate(v)]
-                self.units += g == 1  # a was not +-1: b % a != 0
+                if v[j]:  # the remainder becomes the pivot, the old row is reduced
+                    self.units += abs(v[j]) == 1  # it replaces a non-unit pivot
+                    old, row = row, [(t, v[t]) for t in range(j, self.dim) if v[t]]
+                    self.rows[j] = row
+                    v = [0] * self.dim
+                    for t, x in old:
+                        v[t] = x
 
     def is_full(self) -> bool:
         """True iff the lattice is all of Z^dim: a +-1 pivot at every coordinate."""

@@ -13,8 +13,11 @@ section at C[:-1] by one value for C[-1]; contexts whose last element has the
 same atomic type share the extensions of a prefix.  The classical algorithms
 repeatedly remove sections that fail the forth (resp. bijective-forth)
 extension property, together with everything extending them, until the set
-is stable; acceptance means the fixpoint is non-empty, which by the
-conventions here is equivalent to the empty section surviving.
+is stable.  `_propagate` does this in place from given removals, checking
+again only the restrictions of removed sections; the cohomological run starts
+it from the sections that are not Z-extendable.  Acceptance means the
+fixpoint is non-empty, which by the conventions here is equivalent to the
+empty section surviving.
 
 Note on the parameter k: it is the pebble count / maximum context size.  The
 algorithm called k-Weisfeiler-Leman here corresponds to what much of the
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Callable, Iterable, Optional
+from typing import Collection, Optional
 
 from .matching import has_perfect_matching
 from .structures import Structure
@@ -207,48 +210,43 @@ def _downward_close_inplace(s_set: SectionSet) -> list[tuple[Context, Section]]:
     return removed
 
 
-def _remove_and_close(s_set: SectionSet, victims: Iterable[tuple[Context, Section]]
-                      ) -> list[tuple[Context, Section]]:
-    """Delete victims in place, then restore downward closure; returns all removals."""
-    removed = []
-    for c, s in victims:
-        secs = s_set.sections[c]
-        if s in secs:
-            secs.discard(s)
-            removed.append((c, s))
-    removed.extend(_downward_close_inplace(s_set))
-    return removed
+def _propagate(s_set: SectionSet, failures: Collection[tuple[Context, Section]],
+               log: list[dict[str, int]]) -> None:
+    """Remove the stored sections `failures` in place, restore downward
+    closure, and repeat with the sections now failing the check of the set's
+    kind (forth for hom, bijective forth for isom) until none fails: the
+    greatest sub-presheaf without the failures that is closed under the check,
+    when s_set was downward closed and every other section below k passed the
+    check before the call.
 
-
-def _affected_after_removal(s_set: SectionSet, removed: list[tuple[Context, Section]]
-                            ) -> set[tuple[Context, Section]]:
-    """Sections whose forth status may have changed: restrictions of removals."""
-    dirty = set()
-    for c, s in removed:
-        for i in range(len(c)):
-            sub, t = c[:i] + c[i + 1:], s[:i] + s[i + 1:]
-            if t in s_set.sections[sub]:
-                dirty.add((sub, t))
-    return dirty
-
-
-def _fixpoint(s_set: SectionSet, check: Callable[[SectionSet, Context, Section], bool],
-              stats: Optional[list[dict[str, int]]] = None) -> SectionSet:
-    """Greatest fixpoint of batched check-failure removal plus downward closure
-    below s_set, which must be downward closed (as enumeration leaves it)."""
-    out = s_set.copy()
-    dirty = {(c, s) for c in out.contexts() if len(c) < out.k
-             for s in out.sections[c]}
-    while dirty:
-        failures = {(c, s) for c, s in dirty if not check(out, c, s)}
-        if not failures:
+    Only the restrictions of removed sections can start failing, so only they
+    are checked again.  Each round appends its {"forth", "closure"} removals
+    to log; the first round's "forth" counts the given failures.
+    """
+    check = bij_forth_holds if s_set.kind == "isom" else forth_holds
+    while failures:
+        for c, s in failures:
+            s_set.sections[c].discard(s)
+        closed = _downward_close_inplace(s_set)
+        log.append({"forth": len(failures), "closure": len(closed)})
+        if () not in s_set.sections[()]:  # the closure removed everything
             break
-        removed = _remove_and_close(out, failures)
-        if stats is not None:
-            stats.append({"forth": len(failures),
-                          "closure": len(removed) - len(failures)})
-        dirty = {(c, s) for c, s in _affected_after_removal(out, removed)
-                 if len(c) < out.k}
+        dirty = {(c[:i] + c[i + 1:], s[:i] + s[i + 1:])
+                 for c, s in itertools.chain(failures, closed)
+                 for i in range(len(c))}
+        failures = [(c, s) for c, s in dirty
+                    if s in s_set.sections[c] and not check(s_set, c, s)]
+
+
+def _fixpoint(s_set: SectionSet,
+              stats: Optional[list[dict[str, int]]] = None) -> SectionSet:
+    """Greatest fixpoint of the check of s_set's kind below s_set, which must
+    be downward closed (as enumeration leaves it); logs rounds to stats."""
+    out = s_set.copy()
+    check = bij_forth_holds if out.kind == "isom" else forth_holds
+    failures = [(c, s) for c in out.contexts() if len(c) < out.k
+                for s in out.sections[c] if not check(out, c, s)]
+    _propagate(out, failures, [] if stats is None else stats)
     return out
 
 
@@ -257,7 +255,7 @@ def classical_fixpoint(s_set: SectionSet,
     """Largest flasque sub-presheaf: iteratively drop forth failures (k-consistency)."""
     if s_set.kind != "hom":
         raise ValueError("classical_fixpoint expects kind=hom")
-    return _fixpoint(s_set, forth_holds, stats)
+    return _fixpoint(s_set, stats)
 
 
 def wl_fixpoint(s_set: SectionSet,
@@ -267,4 +265,4 @@ def wl_fixpoint(s_set: SectionSet,
         raise ValueError("wl_fixpoint expects kind=isom")
     if s_set.a.size != s_set.b.size:
         raise ValueError("wl_fixpoint requires equal universe sizes")
-    return _fixpoint(s_set, bij_forth_holds, stats)
+    return _fixpoint(s_set, stats)

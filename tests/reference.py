@@ -31,14 +31,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from cohomcsp.cohomology import (CompatibilitySystem, _classical,
-                                 _run_cohom_fixpoint,
+from cohomcsp.cohomology import (CompatibilitySystem, _run_cohom_fixpoint,
                                  build_compatibility_system,
                                  invert_section_set)
 from cohomcsp.generators import AffineSystem
-from cohomcsp.intlinalg import SparseEchelon, _ext_gcd
+from cohomcsp.intlinalg import SparseEchelon
 from cohomcsp.presheaf import (Context, Section, SectionSet,
-                               _downward_close_inplace)
+                               classical_fixpoint, wl_fixpoint)
 from cohomcsp.structures import LocalSection, Structure
 
 
@@ -260,17 +259,13 @@ class DenseIntLattice:
             if row is None:
                 self.rows[j] = v
                 return
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
+            while v[j]:
+                q = v[j] // row[j]
                 for t in range(j, self.dim):
                     v[t] -= q * row[t]
-            else:
-                g, u, w = _ext_gcd(a, b)
-                aa, bb = a // g, b // g
-                new_row = [u * row[t] + w * v[t] for t in range(self.dim)]
-                v = [-bb * row[t] + aa * v[t] for t in range(self.dim)]
-                self.rows[j] = new_row
+                if v[j]:
+                    self.rows[j] = v
+                    v, row = row, v
 
     def is_full(self) -> bool:
         """True iff the lattice is all of Z^dim: a +-1 pivot at every coordinate."""
@@ -347,8 +342,7 @@ def z_linear_witness(s_set: SectionSet, c: Context, s: Section
                      ) -> Optional[dict[Context, ZLinearSection]]:
     """A global Z-linear section pinning s, or None when s is not Z-extendable."""
     system, rhs = pinned_system(s_set, c, s)
-    ech = SparseEchelon(system.n_vars, system.rows, track_combos=True)
-    x = ech.solve(rhs)
+    x = SparseEchelon(system.n_vars, system.rows).solve(rhs)
     if x is None:
         return None
     per_ctx: dict[Context, dict[Section, int]] = {
@@ -373,8 +367,9 @@ def cohom_fixpoint(s_set: SectionSet) -> SectionSet:
     """The cohomological fixpoint of the set's kind, by the engine's own
     classical-then-cohomological run (what `run_decision` does after
     enumeration)."""
-    pre: list[dict] = []
-    return _run_cohom_fixpoint(_classical(s_set, pre), pre, [])[0]
+    t = (wl_fixpoint if s_set.kind == "isom" else classical_fixpoint)(s_set)
+    _run_cohom_fixpoint(t, [])
+    return t
 
 
 # --- naive section-set operations --------------------------------------------
@@ -459,6 +454,18 @@ def remove_with_upset(s_set: SectionSet,
 
 
 def downward_close(s_set: SectionSet) -> SectionSet:
+    """Drop every section with a restriction, to any smaller sub-context, that
+    is not stored, until nothing changes."""
     out = s_set.copy()
-    _downward_close_inplace(out)
+    changed = True
+    while changed:
+        changed = False
+        for c, secs in out.sections.items():
+            doomed = {s for s in secs
+                      if any(restrict(LocalSection(c, s, s_set.kind), sub).values
+                             not in out.sections[sub]
+                             for size in range(len(c))
+                             for sub in itertools.combinations(c, size))}
+            secs -= doomed
+            changed |= bool(doomed)
     return out

@@ -276,7 +276,7 @@ def test_criterion_7_integer_linear_oracle_equivalence():
             bad += 1
             continue
         rows = [{j: v for j, v in enumerate(r) if v} for r in m.to_rows()]
-        x = SparseEchelon(n_cols, rows, track_combos=True).solve(
+        x = SparseEchelon(n_cols, rows).solve(
             {i: v for i, v in enumerate(b) if v})
         if (x is None) != (hnf_solve(m, b) is None):
             bad += 1  # disagrees with the exact dense solver

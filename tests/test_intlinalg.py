@@ -92,7 +92,7 @@ def test_sparse_echelon_matches_dense_solver():
         b = [rng.randint(-4, 4) for _ in range(rows)]
         m = IntMatrix.from_rows(dense)
         sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
-        ech = SparseEchelon(cols, sparse_rows, track_combos=True)
+        ech = SparseEchelon(cols, sparse_rows)
         rhs = {i: v for i, v in enumerate(b) if v}
         dense_sol = hnf_solve(m, b)
         assert ech.feasible(rhs) == (dense_sol is not None)
@@ -117,7 +117,7 @@ def test_sparse_kernel_basis_spans_kernel():
                      for _ in range(rows)]
             m = IntMatrix.from_rows(dense)
             sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
-            ech = SparseEchelon(cols, sparse_rows, track_combos=True)
+            ech = SparseEchelon(cols, sparse_rows)
             basis = [[vec.get(j, 0) for j in range(cols)]
                      for vec in ech.kernel_basis()]
             hnf = hermite_normal_form(m.transpose())
@@ -211,7 +211,7 @@ def _projected_kernel(rng: random.Random, dim: int, coeffs) -> list[list[int]]:
     rows = [{c: rng.choice(coeffs)
              for c in rng.sample(range(n), rng.randint(2, min(4, n)))}
             for _ in range(rng.randint(0, n // 2))]
-    kernel = SparseEchelon(n, rows, track_combos=True).kernel_basis()
+    kernel = SparseEchelon(n, rows).kernel_basis()
     projs = [[vec.get(t, 0) for t in range(dim)] for vec in kernel]
     scaled = [[rng.choice(coeffs) * (t == u) for t in range(dim)]
               for u in rng.choices(range(dim), k=dim)]
@@ -223,7 +223,7 @@ def _projected_kernel(rng: random.Random, dim: int, coeffs) -> list[list[int]]:
        coeffs=st.sampled_from(((1, -1), (1, -1, 2), (1, -1, 2, -2, 3), (2, -3, 4))))
 def test_sparse_lattice_matches_dense_reference(seed, dim, coeffs):
     """At the sweep's dimensions (1-64), with non-unit coefficients that send
-    adds through the extended-gcd row update, the sparse lattice keeps the
+    adds through Euclid's remainder steps, the sparse lattice keeps the
     dense reference's echelon after every add, and is_full() and contains()
     agree on every unit vector and on random vectors."""
     rng = random.Random(seed)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cohomcsp import (LocalSection, SectionSet, Signature, affine_to_instance,
                       all_contexts, bij_forth_holds, brute_force_hom,
@@ -9,7 +10,7 @@ from cohomcsp import (LocalSection, SectionSet, Signature, affine_to_instance,
                       enumerate_sections, flow_system, forth_holds,
                       is_partial_hom, is_partial_iso, named_graph,
                       run_decision, tseitin_system, wl_fixpoint, zero_twist)
-from cohomcsp.presheaf import _downward_close_inplace, _remove_and_close
+from cohomcsp.presheaf import _downward_close_inplace, _propagate
 from conftest import (BIN_SIG, complete_structure, cycle_structure,
                       graph_structure, random_structure)
 from reference import (downward_close, enumerate_sections_per_context,
@@ -232,17 +233,54 @@ def test_fixpoints_leave_input_unchanged():
         assert {c: frozenset(v) for c, v in s_set.sections.items()} == before
 
 
-def test_remove_and_close_leaves_set_downward_closed(rng):
+def test_propagate_leaves_set_downward_closed(rng):
     """The fixpoints rely on their input being downward closed; in the
-    cohomological run that input comes from `_remove_and_close`."""
+    cohomological run that input is what `_propagate` leaves."""
     for _ in range(10):
         a = random_structure(rng, 3)
         b = random_structure(rng, 3)
         for kind, fixpoint in (("hom", classical_fixpoint), ("isom", wl_fixpoint)):
             t = fixpoint(enumerate_sections(a, b, 2, kind))
             entries = sorted((c, s) for c in t.contexts() for s in t.at(c))
-            _remove_and_close(t, rng.sample(entries, min(3, len(entries))))
+            _propagate(t, rng.sample(entries, min(3, len(entries))), [])
             assert _downward_close_inplace(t.copy()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(("hom", "isom")),
+       k=st.integers(1, 3), n_victims=st.integers(1, 4), empty=st.booleans())
+# sections removed by the closure have restrictions that must be checked again
+@example(seed=17, kind="hom", k=2, n_victims=1, empty=False)
+@example(seed=59, kind="isom", k=2, n_victims=1, empty=False)
+def test_propagate_matches_fixpoint_after_removal(seed, kind, k, n_victims, empty):
+    """Removing victims at one context size from a classical fixpoint t in
+    place and propagating from them gives the classical fixpoint of t without
+    the victims and their upset, also when the empty section is a victim.  The first round logs the
+    victims and their upset, and the rounds' sums account for every removal."""
+    rng = random.Random(seed)
+    a = random_structure(rng, rng.randint(1, 4))
+    if kind == "isom":
+        b = a if rng.random() < 0.5 else random_structure(rng, a.size)
+    else:
+        b = random_structure(rng, rng.randint(1, 3))
+    fixpoint = wl_fixpoint if kind == "isom" else classical_fixpoint
+    t = fixpoint(enumerate_sections(a, b, k, kind))
+    size = rng.randint(1, t.max_level())
+    stored = sorted((c, s) for c in t.contexts() if len(c) == size
+                    for s in t.at(c))
+    assume(stored)
+    victims = set(rng.sample(stored, min(n_victims, len(stored))))
+    if empty:
+        victims.add(((), ()))
+    upset_gone = remove_with_upset(t, victims)
+    want = fixpoint(downward_close(upset_gone))
+    before, log = t.total(), []
+    _propagate(t, victims, log)
+    assert same_sections(t, want)
+    assert log[0]["forth"] == len(victims)
+    assert before - log[0]["forth"] - log[0]["closure"] == upset_gone.total()
+    assert all(e["forth"] > 0 for e in log)
+    assert sum(e["forth"] + e["closure"] for e in log) == before - t.total()
 
 
 def test_fixpoint_order_invariance(rng):
