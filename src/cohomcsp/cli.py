@@ -155,11 +155,17 @@ def _bench_row(row: object, budget: int) -> dict:
                 "k": row.get("k", 3)})
     try:
         for key in ("a", "b"):
+            if key not in row:
+                raise StructureFormatError(f"missing key {key!r}")
             if not isinstance(row[key], str):
                 raise StructureFormatError(
                     f"{key} must be a path string, got {row[key]!r}")
         k = _json_int(out["k"], "k")
         budget = _json_int(row.get("budget", budget), "budget")
+        oracle = row.get("oracle", False)
+        if not isinstance(oracle, bool):
+            raise StructureFormatError(
+                f"oracle must be true or false, got {oracle!r}")
         a, b = _load_pair(row["a"], row["b"])
         report = run_decision(a, b, k, out["method"], out["problem"])[-1]
         out.update({"verdict": report.verdict,
@@ -167,7 +173,7 @@ def _bench_row(row: object, budget: int) -> dict:
                     "max_rows": report.max_system["rows"],
                     "max_cols": report.max_system["cols"],
                     "ms": report.ms})
-        if row.get("oracle"):
+        if oracle:
             search = (brute_force_hom if out["problem"] == "csp"
                       else brute_force_iso)(a, b, budget)
             out["oracle"] = search.status

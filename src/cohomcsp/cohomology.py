@@ -11,6 +11,10 @@ part of any global section, so the decision procedure starts from the
 classical fixpoint, removes them, propagates the classical check from the
 removals in place, and iterates to a greatest fixpoint.  Each round's system is the last one's minus an
 upward-closed set of sections, so its kernel is cut down from the last one's.
+A compatible family restricts to one on any downward-closed set of contexts,
+so the first round tries the empty section on the scope sub-presheaf (around
+the A-tuples) before the full system, when the scope holds at most half the
+sections, and rejects from there when it fails.
 
 Restrictions compose, so compatibility constraints are generated only for
 codimension-1 inclusions; agreement along those implies agreement for all
@@ -19,6 +23,7 @@ inclusions of contexts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -110,11 +115,11 @@ class _Kernel:
     """
 
     basis: Optional[list[dict[int, int]]] = None  # None until the first sweep
-    shape: Optional[dict[str, int]] = None  # the built system's rows and cols
+    # the first set's system shape, counted even when it is never built
+    shape: Optional[dict[str, int]] = None
 
     def build(self, s_set: SectionSet) -> None:
         system = build_compatibility_system(s_set)
-        self.shape = {"rows": system.n_rows, "cols": system.n_vars}
         self.variables = system.variables
         self.empty_var = system.var_of[((), ())]
         # the maximal contexts and each variable's (context, position) among them
@@ -156,6 +161,48 @@ class _Kernel:
         self.basis = kept
 
 
+def _system_shape(s_set: SectionSet) -> dict[str, int]:
+    """Rows and columns of s_set's compatibility system, without building it:
+    one row per stored section at each codimension-1 face of each context,
+    one column per stored section."""
+    return {"rows": sum(len(s_set.sections[c[:i] + c[i + 1:]])
+                        for c in s_set.sections for i in range(len(c))),
+            "cols": s_set.total()}
+
+
+def _scope(s_set: SectionSet) -> SectionSet:
+    """The sub-presheaf of s_set on the maximal contexts that hold the element
+    set of some A-tuple, and on all their subsets."""
+    top = s_set.max_level()
+    spans = {tuple(sorted(e)) for e in set(map(frozenset, itertools.chain(
+        *s_set.a.relations.values()))) if len(e) <= top}
+    faces: set[Context] = {()}
+    for c in s_set.sections:
+        if len(c) == top:
+            subs = [d for r in range(top + 1) for d in itertools.combinations(c, r)]
+            if not spans.isdisjoint(subs):
+                faces.update(subs)
+    return SectionSet(s_set.a, s_set.b, s_set.k, s_set.kind,
+                      {d: s_set.sections[d] for d in faces})
+
+
+def _empty_gcd(s_set: SectionSet) -> int:
+    """The gcd of the empty section's coordinate over the kernel of s_set's
+    system: the empty section is Z-extendable in s_set iff it is 1."""
+    system = build_compatibility_system(s_set)
+    basis = SparseEchelon(system.n_vars, system.rows).kernel_basis()
+    empty = system.var_of[((), ())]
+    return math.gcd(*(vec.get(empty, 0) for vec in basis))
+
+
+def _scope_rejects(s_set: SectionSet) -> bool:
+    """True when the empty section is not Z-extendable on s_set's scope
+    sub-presheaf, tried only when the scope holds at most half the stored
+    sections (beyond that it costs most of a full elimination)."""
+    scope = _scope(s_set)
+    return 2 * scope.total() <= s_set.total() and _empty_gcd(scope) != 1
+
+
 def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
                 ) -> Optional[list[tuple[Context, Section]]]:
     """Find the stored sections that are not Z-extendable in s_set.
@@ -167,6 +214,16 @@ def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
     section inherits a witness from any surviving extension, and one whose
     extensions all fail is removed by the forth closure that follows.
 
+    The first sweep of a kernel tries the empty section on the scope
+    sub-presheaf first (`_scope`), when that holds at most half the stored
+    sections, and returns None without building the full system when it
+    fails there.  This is sound: the scope is downward closed, so each row
+    of its system is a row of the full system over the same variables, and
+    a full kernel vector with empty coordinate 1 restricts to a scope kernel
+    vector with empty coordinate 1.  The benchmark's Tseitin instances keep
+    1-3 % of their sections in scope, its CFI pairs 67-74 %, where the test
+    would cost most of a full build.
+
     A pin (C, s) is feasible iff the indicator of s lies in the projection of
     the unpinned system's kernel onto the coordinates of S(C), so all pins at
     one context share a lattice, and none needs a test once that lattice is
@@ -175,6 +232,9 @@ def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
     """
     kernel = kernel or _Kernel()
     if kernel.basis is None:
+        kernel.shape = _system_shape(s_set)
+        if _scope_rejects(s_set):
+            return None
         kernel.build(s_set)
     else:
         kernel.restrict(s_set)

@@ -252,6 +252,36 @@ def test_bench_rows_refuse_coercion(tmp_path, capsys):
     assert got[-1]["verdict"] == "accept" and got[-1]["error"] == ""
 
 
+def test_bench_oracle_must_be_a_boolean(tmp_path, capsys):
+    """oracle must be a JSON boolean: any other value is a row error and the
+    row runs nothing; a missing oracle is false."""
+    pa, pb = write_pair(tmp_path, cycle_structure(3), complete_structure(2))
+    good = {"a": pa, "b": pb, "k": 2, "method": "classical", "problem": "csp"}
+    bad = [{**good, "oracle": v} for v in ("no", "true", 1, 0, None)]
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"rows": bad + [good, {**good, "oracle": False}]}))
+    code, out, _ = run(["bench", "--manifest", str(m), "--format", "json"], capsys)
+    assert code == 0
+    got = json.loads(out)["rows"]
+    for r in got[:len(bad)]:
+        assert r["error"].startswith("oracle must be true or false"), r
+        assert r["verdict"] == "" and r["oracle"] == "", r
+    for r in got[len(bad):]:
+        assert r["verdict"] == "accept" and r["oracle"] == "" and r["error"] == ""
+
+
+def test_bench_row_missing_path_key(tmp_path, capsys):
+    """A row without a or b names the missing key in its error."""
+    pa, pb = write_pair(tmp_path, cycle_structure(3), complete_structure(2))
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"rows": [{"a": pa, "k": 2}, {"b": pb, "k": 2}]}))
+    code, out, _ = run(["bench", "--manifest", str(m), "--format", "json"], capsys)
+    assert code == 0
+    got = json.loads(out)["rows"]
+    assert [r["error"] for r in got] == ["missing key 'b'", "missing key 'a'"]
+    assert [r["verdict"] for r in got] == ["", ""]
+
+
 def test_bench_malformed_manifests(tmp_path, capsys):
     """A manifest must be an object with a "rows" list (else exit 2); a row
     that is not an object gets an error and the others run, with --budget as

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cohomcsp import (AffineSystem, CfiSpec, IntLattice, LocalSection,
-                      SparseEchelon, affine_to_instance, brute_force_hom,
-                      build_compatibility_system, cfi_structure,
-                      classical_fixpoint, enumerate_sections, flow_system,
-                      invert_section_set, is_partial_iso, run_decision,
-                      tseitin_system, named_graph, wl_fixpoint, zero_twist)
+                      OrderedGraph, SparseEchelon, affine_to_instance,
+                      brute_force_hom, build_compatibility_system,
+                      cfi_structure, classical_fixpoint, enumerate_sections,
+                      flow_system, invert_section_set, is_partial_iso,
+                      random_instances, run_decision, tseitin_system,
+                      named_graph, wl_fixpoint, zero_twist)
 from cohomcsp import cohomology
 from cohomcsp.cohomology import _Kernel, _zext_sweep
 from conftest import (complete_structure, cycle_structure,
@@ -225,6 +226,84 @@ def test_reused_kernel_sweeps_match_fresh_sweeps(monkeypatch):
         report = run_decision(a, b, k, "cohomological", problem)[-1]
         assert report.accepted and report.iterations == 2
         assert len(restricted) == directions
+
+
+def _scope_cases(family, seed):
+    """The section sets a first sweep sees on one small instance: the
+    classical fixpoint at k=3 of a random affine system or a flow system
+    over Z2-Z4, or of a Tseitin instance, or both directions of a CFI pair's
+    k-WL fixpoint at k=2."""
+    rng = random.Random(seed)
+    if family == "cfi":
+        base, q = rng.choice([(named_graph("k3"), 2), (named_graph("k3"), 3),
+                              (named_graph("k4"), 2)])
+        a = cfi_structure(zero_twist(base, q))
+        b = cfi_structure(zero_twist(base, q, rng.randrange(q)))
+        s = wl_fixpoint(enumerate_sections(a, b, 2, "isom"))
+        return [s, invert_section_set(s)]
+    q = rng.randint(2, 4)
+    if family == "affine" and rng.random() < 0.5:
+        system = next(random_instances(
+            seed, "affine", count=1, q=q, nvars=rng.randint(5, 7),
+            neqs=rng.randint(2, 5), planted=rng.random() < 0.5))
+    elif family == "affine":
+        graph = named_graph(rng.choice(["k4", "prism"]))
+        system = flow_system(graph, q, {rng.randrange(graph.n): rng.randrange(q)})
+    else:
+        graph = named_graph(rng.choice(["k4", "k33", "prism"]))
+        system = tseitin_system(graph, {rng.randrange(graph.n): rng.randint(0, 1)})
+    a, b = affine_to_instance(system)
+    return [classical_fixpoint(enumerate_sections(a, b, 3, "hom"))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(("affine", "tseitin", "cfi")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scope_test_changes_no_sweep(family, seed):
+    """A sweep returns the same with and without the scope test.  The scope's
+    empty-section gcd divides the full kernel's, so the scope never rejects
+    when the full gcd is 1; the uncounted system shape is the built one's."""
+    for s in _scope_cases(family, seed):
+        if s.is_empty():
+            continue
+        system = build_compatibility_system(s)
+        assert cohomology._system_shape(s) == {"rows": system.n_rows,
+                                               "cols": system.n_vars}
+        full = cohomology._empty_gcd(s)
+        scoped = cohomology._empty_gcd(cohomology._scope(s))
+        assert full % scoped == 0 if scoped else full == 0
+        if full == 1:
+            assert not cohomology._scope_rejects(s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cohomology, "_scope_rejects", lambda s_set: False)
+            unscoped = _zext_sweep(s)
+        assert _zext_sweep(s) == unscoped
+
+
+PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def test_odd_tseitin_rejects_on_its_scope(monkeypatch):
+    """Odd-charge Tseitin on the Petersen graph at k=3 is rejected on its
+    scope: every echelon of the decision has under a tenth of the full
+    system's columns, and max_system is still the full system's shape."""
+    a, b = affine_to_instance(tseitin_system(OrderedGraph.make(10, PETERSEN),
+                                             {0: 1}))
+    full = build_compatibility_system(
+        classical_fixpoint(enumerate_sections(a, b, 3, "hom")))
+    widths = []
+
+    class Recorded(SparseEchelon):
+        def __init__(self, n_cols, rows):
+            widths.append(n_cols)
+            super().__init__(n_cols, rows)
+
+    monkeypatch.setattr(cohomology, "SparseEchelon", Recorded)
+    report = run_decision(a, b, 3, "cohomological", "csp")[-1]
+    assert report.verdict == "reject"
+    assert widths and all(10 * w < full.n_vars for w in widths), widths
+    assert report.max_system == {"rows": full.n_rows, "cols": full.n_vars}
 
 
 def test_invert_section_set():
