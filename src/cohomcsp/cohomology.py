@@ -9,8 +9,10 @@ codimension-1 inclusion and target section); pinning s turns membership into
 an integer feasibility problem.  Sections that are not Z-extendable cannot be
 part of any global section, so the decision procedure starts from the
 classical fixpoint, removes them, propagates the classical check from the
-removals in place, and iterates to a greatest fixpoint.  Each round's system is the last one's minus an
-upward-closed set of sections, so its kernel is cut down from the last one's.
+removals in place, and iterates to a greatest fixpoint.  Each round's system
+is the last one's minus an upward-closed set of sections, so its kernel is
+cut down from the last one's, kept as its projections onto the maximal
+contexts.
 A compatible family restricts to one on any downward-closed set of contexts,
 so the first round tries the empty section on the scope sub-presheaf (around
 the A-tuples) before the full system, when the scope holds at most half the
@@ -104,33 +106,52 @@ def invert_section_set(s_set: SectionSet) -> SectionSet:
 
 class _Kernel:
     """An integer kernel basis of one direction's compatibility system, kept
-    across the sweeps of one fixpoint run.
+    across the sweeps of one fixpoint run, as each vector's projections.
+
+    A vector is kept as its empty-section coefficient and {i: projection},
+    the projection onto top[i]'s sections of each maximal context i it
+    touches, computed once when the system is eliminated.  The rows make a
+    lower section's coefficient the sum of its extensions' at any maximal
+    context above it, so these coordinates determine the vector.
 
     Every set after the first is the previous one minus an upward-closed set
     R of sections (the forth and downward closures keep it so), so its kernel
     is exactly {x in old kernel : x_R = 0}: rows at removed sub-sections sum
-    removed variables only, and the other rows lose only vanishing terms.
-    Variables keep their first numbering; removed ones stay as coordinates
-    that are zero in every basis vector.
+    removed variables only, and the other rows lose only vanishing terms.  A
+    removed lower section's extensions at a maximal context are all removed,
+    so x_R = 0 needs checking at removed maximal sections only.  Those keep
+    their positions in top, as coordinates that are zero in every vector.
     """
 
-    basis: Optional[list[dict[int, int]]] = None  # None until the first sweep
+    basis: Optional[list[tuple[int, dict[int, tuple[int, ...]]]]] = None
     # the first set's system shape, counted even when it is never built
     shape: Optional[dict[str, int]] = None
 
     def build(self, s_set: SectionSet) -> None:
         system = build_compatibility_system(s_set)
-        self.variables = system.variables
-        self.empty_var = system.var_of[((), ())]
+        empty = system.var_of[((), ())]
         # the maximal contexts and each variable's (context, position) among them
         self.top = [(c, sorted(s_set.sections[c])) for c in s_set.contexts()
                     if len(c) == s_set.max_level() and s_set.sections[c]]
-        self.slot: list[Optional[tuple[int, int]]] = [None] * system.n_vars
+        slot: list[Optional[tuple[int, int]]] = [None] * system.n_vars
         for i, (c, secs) in enumerate(self.top):
             for t, s in enumerate(secs):
-                self.slot[system.var_of[(c, s)]] = (i, t)
-        ech = SparseEchelon(system.n_vars, system.rows)
-        self.basis = ech.kernel_basis()
+                slot[system.var_of[(c, s)]] = (i, t)
+        self.alive = [len(secs) for _, secs in self.top]
+        basis = SparseEchelon(system.n_vars, system.rows).kernel_basis()
+        del system  # later sweeps need only the projections
+        self.basis = []
+        for vec in basis:
+            touched: dict[int, list[int]] = {}
+            for v, x in vec.items():
+                at = slot[v]
+                if at is not None:
+                    i, t = at
+                    if i not in touched:
+                        touched[i] = [0] * len(self.top[i][1])
+                    touched[i][t] = x
+            self.basis.append((vec.get(empty, 0),
+                               {i: tuple(p) for i, p in touched.items()}))
 
     def restrict(self, s_set: SectionSet) -> None:
         """Cut the basis down to the kernel of s_set.
@@ -138,26 +159,36 @@ class _Kernel:
         sum a_i b_i vanishes on R iff the coefficients of the basis vectors
         touching R lie in the kernel of their restriction to R, so those
         vectors are replaced by that small kernel's combinations of them
-        (Cohen 1993, section 2.4).
+        (Cohen 1993, section 2.4).  Only the maximal contexts that lost
+        sections since the last sweep are looked at.
         """
-        row_of = {v: r for r, v in enumerate(
-            v for v, (c, s) in enumerate(self.variables)
-            if s not in s_set.sections[c])}
-        rows: list[dict[int, int]] = [{} for _ in row_of]
-        hits: list[dict[int, int]] = []
-        kept: list[dict[int, int]] = []
+        cut: dict[int, list[int]] = {}  # context -> its removed positions
+        for i, (c, secs) in enumerate(self.top):
+            live = s_set.sections[c]
+            if len(live) < self.alive[i]:
+                self.alive[i] = len(live)
+                cut[i] = [t for t, s in enumerate(secs) if s not in live]
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        hits, kept = [], []
         for vec in self.basis:
-            at = [(row_of[v], x) for v, x in vec.items() if v in row_of]
-            for r, x in at:
-                rows[r][len(hits)] = x
+            projs = vec[1]
+            at = [((i, t), projs[i][t]) for i in cut.keys() & projs.keys()
+                  for t in cut[i] if projs[i][t]]
+            for key, x in at:
+                rows.setdefault(key, {})[len(hits)] = x
             (hits if at else kept).append(vec)
-        ech = SparseEchelon(len(hits), rows)
+        ech = SparseEchelon(len(hits), list(rows.values()))
         for combo in ech.kernel_basis():
-            acc: dict[int, int] = {}
+            empty, acc = 0, {}
             for j, q in combo.items():
-                for v, x in hits[j].items():
-                    acc[v] = acc.get(v, 0) + q * x
-            kept.append({v: x for v, x in acc.items() if x})
+                empty += q * hits[j][0]
+                for i, p in hits[j][1].items():
+                    if i not in acc:
+                        acc[i] = [0] * len(p)
+                    row = acc[i]
+                    for t, x in enumerate(p):
+                        row[t] += q * x
+            kept.append((empty, {i: tuple(p) for i, p in acc.items() if any(p)}))
         self.basis = kept
 
 
@@ -228,7 +259,10 @@ def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
     the unpinned system's kernel onto the coordinates of S(C), so all pins at
     one context share a lattice, and none needs a test once that lattice is
     all of Z^|S(C)|.  The kernel is `kernel`'s, built on its first sweep and
-    restricted to s_set on each later one (a fresh one when omitted).
+    restricted to s_set on each later one (a fresh one when omitted).  It
+    holds each basis vector's projections onto the maximal contexts (see
+    `_Kernel`), so a sweep only deduplicates them per context and feeds each
+    context's lattice.
     """
     kernel = kernel or _Kernel()
     if kernel.basis is None:
@@ -238,26 +272,17 @@ def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
         kernel.build(s_set)
     else:
         kernel.restrict(s_set)
-    basis, slot, top = kernel.basis, kernel.slot, kernel.top
-    if math.gcd(*(vec.get(kernel.empty_var, 0) for vec in basis)) != 1:
+    if math.gcd(*(empty for empty, _ in kernel.basis)) != 1:
         return None
 
-    # one pass over the basis: each vector's distinct projections per context
-    projections: list[dict[tuple[int, ...], None]] = [{} for _ in top]
-    for vec in basis:
-        touched: dict[int, list[int]] = {}
-        for v, x in vec.items():
-            at = slot[v]
-            if at is not None:
-                i, t = at
-                if i not in touched:
-                    touched[i] = [0] * len(top[i][1])
-                touched[i][t] = x
-        for i, proj in touched.items():
-            projections[i][tuple(proj)] = None
+    # each context's distinct projections, in basis order
+    projections: list[dict[tuple[int, ...], None]] = [{} for _ in kernel.top]
+    for _, projs in kernel.basis:
+        for i, proj in projs.items():
+            projections[i][proj] = None
 
     failures: list[tuple[Context, Section]] = []
-    for (c, secs), projs in zip(top, projections):
+    for (c, secs), projs in zip(kernel.top, projections):
         lat = IntLattice(len(secs))
         for proj in projs:
             lat.add(proj)

@@ -26,7 +26,11 @@ class SparseEchelon:
     combination of the input columns: witnesses and kernel vectors are made
     of them.  Rows are processed greedily by current fill (fewest active
     columns first), which keeps fill-in low on the marginalisation-style
-    systems this is used for.
+    systems this is used for.  A row's pivot column is the one with the
+    smallest entry there, then the fewest nonzeros in the column and its
+    combination together: every other active column gets a multiple of both
+    added, so that count is the fill the choice can cause (Markowitz's pivot
+    cost, Management Science 3, 1957), and it keeps the kernel basis sparse.
     """
 
     def __init__(self, n_cols: int, rows: Sequence[dict[int, int]]):
@@ -98,8 +102,9 @@ class SparseEchelon:
             if not active:
                 self.pivot_order.append((r, None))
                 continue
-            acc = min(active, key=lambda c: (abs(self.cols[c].get(r, 0)),
-                                             len(self.cols[c]), c))
+            acc = min(active, key=lambda c: (
+                abs(self.cols[c][r]), len(self.cols[c]) + len(self.combos[c]),
+                c))
             for other in sorted(active - {acc}):
                 acc = self._combine(acc, other, r)
             self.pivot_order.append((r, acc))

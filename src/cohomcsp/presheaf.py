@@ -196,10 +196,15 @@ def bij_forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
     return has_perfect_matching(n, adj)
 
 
-def _downward_close_inplace(s_set: SectionSet) -> list[tuple[Context, Section]]:
-    """Keep only sections all of whose restrictions are present; ascending pass."""
+def _downward_close_inplace(s_set: SectionSet, above: int = 0
+                            ) -> list[tuple[Context, Section]]:
+    """Keep only sections all of whose restrictions are present; ascending
+    pass.  Contexts of size `above` or smaller are skipped: they keep all
+    their restrictions when no section smaller than `above` was removed."""
     removed = []
     for c in s_set.contexts():
+        if len(c) <= above:
+            continue
         subs = [s_set.sections[c[:i] + c[i + 1:]] for i in range(len(c))]
         secs = s_set.sections[c]
         doomed = [s for s in secs
@@ -227,7 +232,7 @@ def _propagate(s_set: SectionSet, failures: Collection[tuple[Context, Section]],
     while failures:
         for c, s in failures:
             s_set.sections[c].discard(s)
-        closed = _downward_close_inplace(s_set)
+        closed = _downward_close_inplace(s_set, min(len(c) for c, _ in failures))
         log.append({"forth": len(failures), "closure": len(closed)})
         if () not in s_set.sections[()]:  # the closure removed everything
             break
