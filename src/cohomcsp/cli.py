@@ -120,6 +120,8 @@ def _cmd_gen(args) -> int:
         return 0
     if args.family == "tseitin":
         base = _load_graph_file(args.graph)
+        if base.n == 0:
+            raise ValueError("base graph has no vertices")
         degrees = {base.degree(v) for v in range(base.n)}
         width = max(degrees)
         if args.k is not None and width > args.k:

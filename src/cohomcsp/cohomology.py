@@ -124,8 +124,6 @@ class _Kernel:
     """
 
     basis: Optional[list[tuple[int, dict[int, tuple[int, ...]]]]] = None
-    # the first set's system shape, counted even when it is never built
-    shape: Optional[dict[str, int]] = None
 
     def build(self, s_set: SectionSet) -> None:
         system = build_compatibility_system(s_set)
@@ -234,7 +232,7 @@ def _scope_rejects(s_set: SectionSet) -> bool:
     return 2 * scope.total() <= s_set.total() and _empty_gcd(scope) != 1
 
 
-def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
+def _zext_sweep(s_set: SectionSet, kernel: _Kernel
                 ) -> Optional[list[tuple[Context, Section]]]:
     """Find the stored sections that are not Z-extendable in s_set.
 
@@ -259,14 +257,11 @@ def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
     the unpinned system's kernel onto the coordinates of S(C), so all pins at
     one context share a lattice, and none needs a test once that lattice is
     all of Z^|S(C)|.  The kernel is `kernel`'s, built on its first sweep and
-    restricted to s_set on each later one (a fresh one when omitted).  It
-    holds each basis vector's projections onto the maximal contexts (see
-    `_Kernel`), so a sweep only deduplicates them per context and feeds each
-    context's lattice.
+    restricted to s_set on each later one.  It holds each basis vector's
+    projections onto the maximal contexts (see `_Kernel`), so a sweep only
+    deduplicates them per context and feeds each context's lattice.
     """
-    kernel = kernel or _Kernel()
     if kernel.basis is None:
-        kernel.shape = _system_shape(s_set)
         if _scope_rejects(s_set):
             return None
         kernel.build(s_set)
@@ -299,31 +294,25 @@ def _zext_sweep(s_set: SectionSet, kernel: Optional[_Kernel] = None
 _CHECK_LABEL = {"hom": "forth", "isom": "bijforth"}
 
 
-def _run_cohom_fixpoint(t: SectionSet, removed_log: list[dict]
-                        ) -> Optional[dict[str, int]]:
-    """Shrink the classical fixpoint t in place to the cohomological one, and
-    return the shape of the first forward system (None if there was none),
-    the largest: later sets are subsets of the first, and inversion keeps the
-    shape.
+def _run_cohom_fixpoint(t: SectionSet, removed_log: list[dict]) -> None:
+    """Shrink the classical fixpoint t in place to the cohomological one.
 
     Each iteration removes the sections that are not Z-extendable
     (Z-bi-extendable for isomorphisms) and propagates the classical check of
     t's kind (forth for hom, bijective forth for isom) from the removals; its
     entry in removed_log splits the removals by cause.
     """
-    bi_directional = t.kind == "isom"
     forward, backward = _Kernel(), _Kernel()
     iteration = 0
     while not t.is_empty():
         iteration += 1
         failures = _zext_sweep(t, forward)
-        back: Optional[list[tuple[Context, Section]]] = []
-        if bi_directional and failures is not None:
+        if failures is not None and t.kind == "isom":
             back = _zext_sweep(invert_section_set(t), backward)
-        if failures is None or back is None:  # the empty section fails, so all do
+            failures = None if back is None else set(failures).union(
+                _inverse(c, s) for c, s in back)
+        if failures is None:  # the empty section fails, so all do
             failures = [(c, s) for c, secs in t.sections.items() for s in secs]
-        elif back:
-            failures = set(failures).union(_inverse(c, s) for c, s in back)
         rounds: list[dict[str, int]] = []
         _propagate(t, failures, rounds)
         removed_log.append({
@@ -335,7 +324,6 @@ def _run_cohom_fixpoint(t: SectionSet, removed_log: list[dict]
         })
         if not failures:
             break
-    return forward.shape
 
 
 # --- decision procedures with reports ----------------------------------------
@@ -425,7 +413,10 @@ def run_decision(a: Structure, b: Structure, k: int, method: str,
         removed_log = [{"iteration": 0, label: sum(e[label] for e in log),
                         "closure": sum(e["closure"] for e in log), "zext": 0,
                         "remaining": t.total()}]
-        max_system = _run_cohom_fixpoint(t, removed_log)
+        # the first forward system is the largest: later sets are subsets
+        # of t, and inversion keeps the shape
+        max_system = _system_shape(t)
+        _run_cohom_fixpoint(t, removed_log)
         reports.append(_finish_report(methods[1], k, t, removed_log, t0,
                                       max_system))
     return reports

@@ -28,6 +28,8 @@ class OrderedGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
@@ -467,9 +469,10 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
                      **params) -> Iterator:
     """Deterministic stream of random instances of the given family.
 
-    Families: "affine" (AffineSystem over Z_q), "gnp" (Erdos-Renyi ordered
-    graph), "regular" (d-regular via the pairing model with rejection), and
-    "twist" (random edge twist for a given graph and modulus).
+    Families: "affine" (AffineSystem over Z_q, 2 or 3 variables per
+    equation), "gnp" (Erdos-Renyi ordered graph), "regular" (d-regular via
+    the pairing model with rejection), and "twist" (random edge twist for a
+    given graph and modulus).
     """
     rng = random.Random(seed)
     steps = itertools.count() if count is None else range(count)
@@ -477,13 +480,12 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
         q = params["q"]
         nvars = params["nvars"]
         neqs = params["neqs"]
-        max_arity = params.get("max_arity", 3)
         planted = params.get("planted")
         for _ in steps:
             solution = [rng.randrange(q) for _ in range(nvars)]
             eqs = []
             for _ in range(neqs):
-                w = rng.randint(min(2, max_arity), max_arity)
+                w = rng.randint(2, 3)
                 idx = tuple(sorted(rng.sample(range(nvars), min(w, nvars))))
                 coeffs = tuple(rng.randrange(1, q) for _ in idx)
                 if planted:

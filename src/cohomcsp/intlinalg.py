@@ -17,8 +17,8 @@ class SparseEchelon:
     """Column echelon form of a sparse integer matrix over Z.
 
     Built once from the rows of a homogeneous coefficient matrix, the echelon
-    then answers ``feasible(rhs)`` and ``solve(rhs)`` queries (is M x = rhs
-    solvable over Z, and by which x?) by forward substitution along the
+    then answers ``solve(rhs)`` queries (is M x = rhs solvable over Z, and
+    by which x?) by forward substitution along the
     recorded pivot order, and emits an integer basis of the kernel lattice.
 
     Columns are mutated by unimodular column operations, so the column lattice
@@ -114,17 +114,8 @@ class SparseEchelon:
                 if not self._done[rr]:
                     self._row_index[rr].discard(acc)
 
-    def feasible(self, rhs: dict[int, int]) -> bool:
-        """Decide integer solvability of M x = rhs (rhs sparse over rows)."""
-        return self._solve(rhs) is not None
-
     def solve(self, rhs: dict[int, int]) -> Optional[list[int]]:
-        """Return x with M x = rhs, or None."""
-        out = self._solve(rhs)
-        return None if out is None else [out.get(c, 0) for c in range(self.n_cols)]
-
-    def _solve(self, rhs: dict[int, int]) -> Optional[dict[int, int]]:
-        """Sparse x with M x = rhs, or None."""
+        """Return x with M x = rhs (rhs sparse over rows), or None."""
         residual = dict(rhs)
         witness: dict[int, int] = {}
         for r, piv in self.pivot_order:
@@ -149,7 +140,9 @@ class SparseEchelon:
                     witness[c] = nv
                 else:
                     witness.pop(c, None)
-        return None if residual else witness
+        if residual:
+            return None
+        return [witness.get(c, 0) for c in range(self.n_cols)]
 
     def kernel_basis(self) -> list[dict[int, int]]:
         """Integer basis of {x : M x = 0} as sparse coefficient dicts."""

@@ -9,7 +9,10 @@ alive: a section's context is its key and its kind (hom or isom) the set's.
 The partial-map oracles in `structures` take their own validated (domain,
 values, kind) section type; the engine never builds one.
 `enumerate_sections` builds the full presheaf bottom-up, extending each
-section at C[:-1] by one value for C[-1]; contexts whose last element has the
+section at C[:-1] by one value for C[-1] that maps the A-tuples through C[-1]
+into B; for a partial isomorphism the value is new and the B-tuples through
+it inside the image are exactly as many, counted by element set, so the cost
+does not grow with declared arities.  Contexts whose last element has the
 same atomic type share the extensions of a prefix.  The classical algorithms
 repeatedly remove sections that fail the forth (resp. bijective-forth)
 extension property, together with everything extending them, until the set
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from typing import Collection, Optional
 
 from .matching import has_perfect_matching
@@ -100,12 +104,14 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
     Every context of size <= k is present; the empty context carries exactly
     the empty section.  Built bottom-up: a section at C restricts to one at
     C[:-1], which comes earlier in (size, lex) order, so the sections at C are
-    those at C[:-1] extended by a value for C[-1] such that every A-tuple
-    inside C using C[-1] maps into B and, for isomorphisms, every other
-    position tuple over C using C[-1] does not.  Tuples not using C[-1] were
-    checked at C[:-1].  So the extensions of a prefix depend only on the
-    atomic type of C[-1] in C, the (symbol, position tuple) pairs of those
-    A-tuples: contexts of one type share them, added in the same order.
+    those at C[:-1] extended by a value v for C[-1] such that every A-tuple
+    inside C using C[-1] maps into B and, for isomorphisms, v is new and the
+    B-tuples of all symbols inside the image using v are as many: the
+    injective extension maps those A-tuples one to one into them, so it
+    reflects them iff the counts agree.  Tuples not using C[-1] were checked
+    at C[:-1].  So the extensions of a prefix depend only on the atomic type
+    of C[-1] in C, the (symbol, position tuple) pairs of those A-tuples:
+    contexts of one type share them, added in the same order.
     """
     if a.signature != b.signature:
         raise ValueError("structures must share a signature")
@@ -116,35 +122,33 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
     for name, _ in a.signature.symbols:
         for t in a.relations[name]:
             by_max.setdefault(max(t), []).append((name, t))
+    # B-tuples of every symbol by element set, counted for isomorphisms
+    in_b = Counter(frozenset(t) for rel in b.relations.values() for t in rel)
     # atomic type of C[-1] in C -> prefix section -> its one-value extensions
     shared: dict[frozenset, dict[Section, list[Section]]] = {}
     for context in out.contexts()[1:]:
         pos_of = {e: i for i, e in enumerate(context)}
-        # position tuple over C using C[-1] -> must its image be a B-tuple (iff
-        # it is an A-tuple); a homomorphism only preserves, so checks the A-tuples
-        expect = {(name, tuple(pos_of[e] for e in t)): True
-                  for name, t in by_max.get(context[-1], ())
-                  if all(e in pos_of for e in t)}
-        known = shared.setdefault(frozenset(expect), {})
+        atoms = frozenset((name, tuple(pos_of[e] for e in t))
+                          for name, t in by_max.get(context[-1], ())
+                          if all(e in pos_of for e in t))
+        known = shared.setdefault(atoms, {})
         keep, checks = out.sections[context], None
         for s in out.sections[context[:-1]]:
             ext = known.get(s)
             if ext is None:
                 if checks is None:
-                    if kind == "isom":
-                        for name, arity in a.signature.symbols:
-                            for p in itertools.product(pos_of.values(), repeat=arity):
-                                if len(context) - 1 in p:
-                                    expect.setdefault((name, p), False)
-                    checks = [(b.relations[name], p, want)
-                              for (name, p), want in expect.items()]
+                    checks = [(b.relations[name], p) for name, p in atoms]
+                    # one position tuple per subset of C holding C[-1]
+                    spans = [p + (len(s),) for r in range(len(s) + 1)
+                             for p in itertools.combinations(range(len(s)), r)]
                 ext = known[s] = []
                 for v in range(b.size):
-                    if kind == "isom" and v in s:
-                        continue
                     vals = s + (v,)
-                    if all((tuple(map(vals.__getitem__, p)) in rel) == want
-                           for rel, p, want in checks):
+                    if kind == "isom" and v in s or not all(
+                            tuple(map(vals.__getitem__, p)) in rel for rel, p in checks):
+                        continue
+                    if kind == "hom" or len(checks) == sum(
+                            in_b[frozenset(map(vals.__getitem__, p))] for p in spans):
                         ext.append(vals)
             keep.update(ext)
     return out

@@ -226,11 +226,15 @@ def brute_force_hom(a: Structure, b: Structure, budget: int = 10**7) -> SearchRe
 
 
 def _profiles(s: Structure) -> list[tuple[int, ...]]:
-    """Per element, how many tuples hold it at each (symbol, position) slot."""
-    counts = [[0] * sum(arity for _, arity in s.signature.symbols)
-              for _ in range(s.size)]
+    """Per element, how many tuples hold it at each (symbol, position) slot
+    of the symbols that have tuples: its length does not grow with declared
+    arities, and `brute_force_iso`'s precheck makes both sides skip the
+    same symbols."""
+    used = [(name, arity) for name, arity in s.signature.symbols
+            if s.relations[name]]
+    counts = [[0] * sum(arity for _, arity in used) for _ in range(s.size)]
     base = 0
-    for name, arity in s.signature.symbols:
+    for name, arity in used:
         for t in s.relations[name]:
             for pos, e in enumerate(t, base):
                 counts[e][pos] += 1

@@ -301,7 +301,7 @@ def affine_solvable_mod(sys: AffineSystem) -> bool:
         if b % sys.q:
             rhs[i] = b % sys.q
     ech = SparseEchelon(sys.variables + len(sys.equations), rows)
-    return ech.feasible(rhs)
+    return ech.solve(rhs) is not None
 
 
 # --- pinned Z-extendability ---------------------------------------------------
@@ -335,7 +335,7 @@ def pinned_system(s_set: SectionSet, c: Context, s: Section
 def z_extendable(s_set: SectionSet, c: Context, s: Section) -> bool:
     """True iff the compatibility system pinned at s has an integer solution."""
     system, rhs = pinned_system(s_set, c, s)
-    return SparseEchelon(system.n_vars, system.rows).feasible(rhs)
+    return SparseEchelon(system.n_vars, system.rows).solve(rhs) is not None
 
 
 def z_linear_witness(s_set: SectionSet, c: Context, s: Section

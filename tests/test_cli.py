@@ -1,10 +1,11 @@
 import json
 import re
+import time
 
 import jsonschema
 import pytest
 
-from cohomcsp import save_structure
+from cohomcsp import Signature, Structure, save_structure
 from cohomcsp.cli import REPORT_SCHEMA, build_parser, main
 from conftest import MALFORMED_DOCS, complete_structure, cycle_structure
 
@@ -150,6 +151,55 @@ def test_gen_tseitin_warns_on_width(tmp_path, capsys):
     code, _, err = run(["gen", "tseitin", "--graph", str(g), "--odd", "--k", "1",
                         "--out-prefix", str(tmp_path / "ts")], capsys)
     assert code == 0 and "width" in err
+
+
+def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
+    """A negative vertex count is refused when written and when loaded, and
+    Tseitin on a graph without vertices names the empty graph."""
+    g = tmp_path / "g.txt"
+    code, _, err = run(["gen", "graph", "--n", "-2", "--out", str(g)], capsys)
+    assert code == 2 and "negative vertex count -2" in err
+    assert not g.exists()
+    for text, message in (("-3\n", "negative vertex count -3"),
+                          ("0\n", "base graph has no vertices")):
+        g.write_text(text)
+        code, _, err = run(["gen", "tseitin", "--graph", str(g),
+                            "--out-prefix", str(tmp_path / "ts")], capsys)
+        assert code == 2 and message in err, text
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+def empty_symbol_pair(tmp_path, arity):
+    """Two 3-element structures with one empty symbol of the given arity."""
+    sig = Signature((("R", arity),))
+    return write_pair(tmp_path, Structure.make(sig, 3, {}),
+                      Structure.make(sig, 3, {}))
+
+
+def test_decide_iso_cost_ignores_declared_arity(tmp_path, capsys):
+    """Partial isomorphisms are checked by counting B-tuples, not by listing
+    position tuples, so an empty arity-64 symbol costs nothing."""
+    pa, pb = empty_symbol_pair(tmp_path, 64)
+    t0 = time.perf_counter()
+    code, out, _ = run(["decide-iso", pa, pb, "--k", "2"], capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "accept"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_bench_oracle_row_ignores_declared_arity(tmp_path, capsys):
+    """The iso oracle's degree profiles skip symbols without tuples, so an
+    empty symbol of arity 10**9 allocates nothing per position."""
+    pa, pb = empty_symbol_pair(tmp_path, 10**9)
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"rows": [{"a": pa, "b": pb, "problem": "iso",
+                                       "k": 2, "oracle": True}]}))
+    t0 = time.perf_counter()
+    code, out, _ = run(["bench", "--manifest", str(m), "--format", "json"],
+                       capsys)
+    row = json.loads(out)["rows"][0]
+    assert code == 0 and row["error"] == ""
+    assert row["oracle"] == "found" and row["agree"] == "true"
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_gen_affine_deterministic(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_sweep_matches_per_pin_zext(rng):
         s = classical_fixpoint(enumerate_sections(a, b, 2, "hom"))
         if s.is_empty():
             continue
-        failures = _zext_sweep(s)
+        failures = _zext_sweep(s, _Kernel())
         if failures is None:
             assert not z_extendable(s, (), ())
             continue
@@ -228,7 +228,7 @@ def test_reused_kernel_sweeps_match_fresh_sweeps(monkeypatch):
         if kernel.basis is not None:
             restricted.add(id(kernel))
         failures = sweep(s_set, kernel)
-        assert failures == sweep(s_set)
+        assert failures == sweep(s_set, _Kernel())
         return failures
 
     monkeypatch.setattr(cohomology, "_zext_sweep", checked)
@@ -296,8 +296,8 @@ def test_scope_test_changes_no_sweep(family, seed):
             assert not cohomology._scope_rejects(s)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cohomology, "_scope_rejects", lambda s_set: False)
-            unscoped = _zext_sweep(s)
-        assert _zext_sweep(s) == unscoped
+            unscoped = _zext_sweep(s, _Kernel())
+        assert _zext_sweep(s, _Kernel()) == unscoped
 
 
 PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]

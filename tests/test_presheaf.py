@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cohomcsp import (LocalSection, SectionSet, Signature, affine_to_instance,
-                      all_contexts, bij_forth_holds, brute_force_hom,
-                      brute_force_iso, cfi_structure, classical_fixpoint,
-                      enumerate_sections, flow_system, forth_holds,
-                      is_partial_hom, is_partial_iso, named_graph,
+from cohomcsp import (LocalSection, SectionSet, Signature, Structure,
+                      affine_to_instance, all_contexts, bij_forth_holds,
+                      brute_force_hom, brute_force_iso, cfi_structure,
+                      classical_fixpoint, enumerate_sections, flow_system,
+                      forth_holds, is_partial_hom, is_partial_iso, named_graph,
                       run_decision, tseitin_system, wl_fixpoint, zero_twist)
 from cohomcsp.presheaf import _downward_close_inplace, _propagate
 from conftest import (BIN_SIG, complete_structure, cycle_structure,
@@ -17,6 +17,16 @@ from reference import (downward_close, enumerate_sections_per_context,
                        remove_with_upset, restrict, same_sections)
 
 MIXED_SIG = Signature((("U", 1), ("E", 2), ("T", 3)))
+SHARED_SIG = Signature((("E", 2), ("F", 2), ("T", 3)))
+
+
+def shared_structure(rng, size):
+    """A SHARED_SIG structure whose F holds about half of E's tuples, so one
+    element set carries tuples of several symbols."""
+    s = random_structure(rng, size, SHARED_SIG)
+    shared = [t for t in sorted(s.relations["E"]) if rng.random() < 0.5]
+    return Structure.make(SHARED_SIG, size, {**s.relations,
+                                             "F": s.relations["F"] | set(shared)})
 
 
 def naive_sections(a, b, k, kind):
@@ -54,7 +64,9 @@ def test_enumerate_isom_different_sizes_local():
 def test_enumerate_matches_naive(rng):
     """Random binary structures, random structures with a unary, a binary and
     a ternary symbol (whose tuples with repeated entries the extension checks
-    must get right), and the CFI2(K3) zero/twisted pair."""
+    must get right), the CFI2(K3) zero/twisted pair, and random structures
+    with two binary symbols sharing tuples and a ternary one (the isomorphism
+    check counts B-tuples of all symbols by element set)."""
     cfi = [cfi_structure(zero_twist(named_graph("k3"), 2, t)) for t in (0, 1)]
     cases = []
     for sig in (BIN_SIG, MIXED_SIG):
@@ -64,6 +76,11 @@ def test_enumerate_matches_naive(rng):
             for kind in ("hom", "isom"):
                 cases.append((a, b, kind, rng.randint(1, 3)))
     cases += [(*cfi, "isom", k) for k in (2, 3)]
+    for _ in range(15):
+        a = shared_structure(rng, rng.randint(1, 4))
+        b = shared_structure(rng, rng.randint(1, 3))
+        for kind in ("hom", "isom"):
+            cases.append((a, b, kind, rng.randint(1, 3)))
     for a, b, kind, k in cases:
         got = enumerate_sections(a, b, k, kind)
         want = naive_sections(a, b, k, kind)
