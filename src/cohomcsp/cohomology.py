@@ -135,7 +135,6 @@ class _Kernel:
         for i, (c, secs) in enumerate(self.top):
             for t, s in enumerate(secs):
                 slot[system.var_of[(c, s)]] = (i, t)
-        self.alive = [len(secs) for _, secs in self.top]
         basis = SparseEchelon(system.n_vars, system.rows).kernel_basis()
         del system  # later sweeps need only the projections
         self.basis = []
@@ -158,13 +157,13 @@ class _Kernel:
         touching R lie in the kernel of their restriction to R, so those
         vectors are replaced by that small kernel's combinations of them
         (Cohen 1993, section 2.4).  Only the maximal contexts that lost
-        sections since the last sweep are looked at.
+        sections are looked at; positions cut in an earlier sweep are zero
+        in every vector, so they add no rows.
         """
         cut: dict[int, list[int]] = {}  # context -> its removed positions
         for i, (c, secs) in enumerate(self.top):
             live = s_set.sections[c]
-            if len(live) < self.alive[i]:
-                self.alive[i] = len(live)
+            if len(live) < len(secs):
                 cut[i] = [t for t, s in enumerate(secs) if s not in live]
         rows: dict[tuple[int, int], dict[int, int]] = {}
         hits, kept = [], []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -543,15 +544,24 @@ def graph_to_text(graph: OrderedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph_int(token: str) -> int:
+    """token as an int if it is ASCII digits with an optional minus sign (a
+    negative count reaches OrderedGraph's error); int() also takes "1_0",
+    "+4" and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"graph file numbers must be ASCII integers: {token!r}")
+    return int(token)
+
+
 def graph_from_text(text: str) -> OrderedGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
-    n = int(lines[0])
+    n = _graph_int(lines[0])
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"graph edge line must be two integers: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((_graph_int(parts[0]), _graph_int(parts[1])))
     return OrderedGraph.make(n, edges)

@@ -2,9 +2,10 @@
 
 `SparseEchelon` backs the compatibility-system solving in the cohomology
 engine, where systems are large but each equation touches only a handful of
-variables: integer feasibility, witnesses and kernel bases.  `IntLattice`
-decides membership in the projection of that kernel onto one context, from
-echelon rows that keep only their nonzeros.
+variables: it column-reduces M under an identity block, [I; M], pivoting by
+Markowitz's cost, for integer feasibility, witnesses and kernel bases.
+`IntLattice` decides membership in the projection of that kernel onto one
+context, from echelon rows that keep only their nonzeros.
 """
 
 from __future__ import annotations
@@ -21,57 +22,48 @@ class SparseEchelon:
     by which x?) by forward substitution along the
     recorded pivot order, and emits an integer basis of the kernel lattice.
 
-    Columns are mutated by unimodular column operations, so the column lattice
-    and kernel are those of the input matrix.  Each column tracks its
-    combination of the input columns: witnesses and kernel vectors are made
-    of them.  Rows are processed greedily by current fill (fewest active
-    columns first), which keeps fill-in low on the marginalisation-style
-    systems this is used for.  A row's pivot column is the one with the
-    smallest entry there, then the fewest nonzeros in the column and its
-    combination together: every other active column gets a multiple of both
-    added, so that count is the fill the choice can cause (Markowitz's pivot
-    cost, Management Science 3, 1957), and it keeps the kernel basis sparse.
+    It column-reduces M stacked under an identity block (Cohen 1993, section
+    2.4): each column is one sparse dict over [I; M], whose key j < n_cols
+    is its coefficient on input column j and key n_cols + r its entry in row
+    r of M.  The column operations are unimodular, so the identity block of
+    the columns whose M part is eliminated spans the kernel, and that of the
+    pivot columns makes witnesses.  Rows are processed greedily by current
+    fill (fewest active columns first), which keeps fill-in low on the
+    marginalisation-style systems this is used for.  A row's pivot column is
+    the one with the smallest entry there, then the fewest nonzeros over
+    [I; M]: every other active column gets a multiple of it added, so that
+    count is the fill the choice can cause (Markowitz's pivot cost,
+    Management Science 3, 1957), and it keeps the kernel basis sparse.
     """
 
     def __init__(self, n_cols: int, rows: Sequence[dict[int, int]]):
         self.n_cols = n_cols
-        # columns as sparse dicts row -> value
-        self.cols: list[dict[int, int]] = [dict() for _ in range(n_cols)]
-        # for each not-yet-processed row, the live columns touching it
-        self._row_index: list[set[int]] = [set() for _ in range(len(rows))]
-        self._done: list[bool] = [False] * len(rows)
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                if v:
-                    self.cols[c][r] = v
-                    self._row_index[r].add(c)
-        self.combos: list[dict[int, int]] = [{c: 1} for c in range(n_cols)]
+        self.cols: list[dict[int, int]] = [{c: 1} for c in range(n_cols)]
+        # per key, the live columns touching that row of M until it is
+        # processed; None at identity keys and processed rows
+        self._row_index: list[Optional[set[int]]] = [None] * n_cols
+        for r, row in enumerate(rows, n_cols):
+            self._row_index.append({c for c, v in row.items() if v})
+            for c in self._row_index[r]:
+                self.cols[c][r] = row[c]
         self.live: set[int] = set(range(n_cols))
-        # (row, pivot_col or None) in processing order
-        self.pivot_order: list[tuple[int, Optional[int]]] = []
+        # (n_cols + row, pivot column) per pivoted row, in processing order
+        self.pivot_order: list[tuple[int, int]] = []
         self._eliminate()
 
     def _addmul(self, dst: int, src: int, q: int) -> None:
         """col[dst] += q * col[src]."""
-        cd = self.cols[dst]
-        done, index = self._done, self._row_index
-        for r, v in self.cols[src].items():
-            nv = cd.get(r, 0) + q * v
+        cd, index = self.cols[dst], self._row_index
+        for k, v in self.cols[src].items():
+            nv = cd.get(k, 0) + q * v
             if nv:
-                if r not in cd and not done[r]:
-                    index[r].add(dst)
-                cd[r] = nv
+                if k not in cd and index[k] is not None:
+                    index[k].add(dst)
+                cd[k] = nv
             else:
-                del cd[r]  # nv == 0 with v != 0: the entry was there
-                if not done[r]:
-                    index[r].discard(dst)
-        kd = self.combos[dst]
-        for c, v in self.combos[src].items():
-            nv = kd.get(c, 0) + q * v
-            if nv:
-                kd[c] = nv
-            else:
-                kd.pop(c, None)
+                del cd[k]  # nv == 0 with q * v != 0: the entry was there
+                if index[k] is not None:
+                    index[k].discard(dst)
 
     def _combine(self, acc: int, other: int, r: int) -> int:
         """Zero row r in one of columns acc and other by Euclid's division
@@ -87,66 +79,56 @@ class SparseEchelon:
         return acc
 
     def _eliminate(self) -> None:
-        nrows = len(self._row_index)
-        heap = [(len(self._row_index[r]), r) for r in range(nrows)]
+        index = self._row_index
+        heap = [(len(index[r]), r) for r in range(self.n_cols, len(index))]
         heapq.heapify(heap)
         while heap:
             size, r = heapq.heappop(heap)
-            if self._done[r]:
-                continue
-            active = self._row_index[r]
+            active = index[r]
             if len(active) != size:
                 heapq.heappush(heap, (len(active), r))
                 continue
-            self._done[r] = True  # _addmul stops updating the index of row r
+            index[r] = None  # _addmul stops updating the index of row r
             if not active:
-                self.pivot_order.append((r, None))
                 continue
             acc = min(active, key=lambda c: (
-                abs(self.cols[c][r]), len(self.cols[c]) + len(self.combos[c]),
-                c))
+                abs(self.cols[c][r]), len(self.cols[c]), c))
             for other in sorted(active - {acc}):
                 acc = self._combine(acc, other, r)
             self.pivot_order.append((r, acc))
             self.live.discard(acc)
             # acc is frozen: drop it from the index of remaining rows
-            for rr in self.cols[acc]:
-                if not self._done[rr]:
-                    self._row_index[rr].discard(acc)
+            for k in self.cols[acc]:
+                if index[k] is not None:
+                    index[k].discard(acc)
 
     def solve(self, rhs: dict[int, int]) -> Optional[list[int]]:
         """Return x with M x = rhs (rhs sparse over rows), or None."""
-        residual = dict(rhs)
-        witness: dict[int, int] = {}
+        n = self.n_cols
+        if not all(0 <= r < len(self._row_index) - n for r in rhs):
+            return None
+        # (0; rhs) minus q times pivot columns: (-x; rhs - M x) for x so far
+        acc = {n + r: v for r, v in rhs.items() if v}
         for r, piv in self.pivot_order:
-            val = residual.get(r, 0)
-            if val == 0:
+            if r not in acc:
                 continue
-            if piv is None:
-                return None
-            p = self.cols[piv][r]
-            q, rem = divmod(val, p)
+            q, rem = divmod(acc[r], self.cols[piv][r])
             if rem:
                 return None
-            for rr, v in self.cols[piv].items():
-                nv = residual.get(rr, 0) - q * v
+            for k, v in self.cols[piv].items():
+                nv = acc.get(k, 0) - q * v
                 if nv:
-                    residual[rr] = nv
+                    acc[k] = nv
                 else:
-                    residual.pop(rr, None)
-            for c, v in self.combos[piv].items():
-                nv = witness.get(c, 0) + q * v
-                if nv:
-                    witness[c] = nv
-                else:
-                    witness.pop(c, None)
-        if residual:
+                    del acc[k]
+        if any(k >= n for k in acc):
             return None
-        return [witness.get(c, 0) for c in range(self.n_cols)]
+        return [-acc.get(c, 0) for c in range(n)]
 
     def kernel_basis(self) -> list[dict[int, int]]:
-        """Integer basis of {x : M x = 0} as sparse coefficient dicts."""
-        return [self.combos[c] for c in sorted(self.live)]
+        """Integer basis of {x : M x = 0} as sparse coefficient dicts: the
+        live columns, whose M part is eliminated."""
+        return [self.cols[c] for c in sorted(self.live)]
 
 
 class IntLattice:

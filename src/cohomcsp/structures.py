@@ -188,29 +188,31 @@ def _hom_search(a: Structure, b: Structure, candidates: Sequence[Sequence[int]],
     image: list[int] = [-1] * n
     used: set[int] = set()  # values taken, for injective search
     budget_box = _Budget(budget)
-
-    def search(depth: int) -> Optional[str]:
-        if depth == n:
-            return "found"
-        for val in candidates[depth]:
+    # depth-first search: stack[i] holds the candidates element i has left
+    depth, stack = 0, []
+    while depth < n:
+        if depth == len(stack):
+            stack.append(iter(candidates[depth]))
+        for val in stack[depth]:
             if budget_box.spend():
-                return "budget_exceeded"
+                return SearchResult("budget_exceeded", None)
             if val in used:
                 continue
             image[depth] = val
-            if any(tuple([image[e] for e in t]) not in rel
+            if all(tuple([image[e] for e in t]) in rel
                    for t, rel in checks_at[depth]):
-                continue
-            if injective:
-                used.add(val)
-            r = search(depth + 1)
-            if r is not None:
-                return r
-            used.discard(val)
-        return None
-
-    r = search(0)
-    return SearchResult(r or "none", tuple(image) if r == "found" else None)
+                break
+        else:  # no candidate left: backtrack
+            stack.pop()
+            depth -= 1
+            if depth < 0:
+                return SearchResult("none", None)
+            used.discard(image[depth])
+            continue
+        if injective:
+            used.add(val)
+        depth += 1
+    return SearchResult("found", tuple(image))
 
 
 def brute_force_hom(a: Structure, b: Structure, budget: int = 10**7) -> SearchResult:

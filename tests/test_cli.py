@@ -154,14 +154,16 @@ def test_gen_tseitin_warns_on_width(tmp_path, capsys):
 
 
 def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
-    """A negative vertex count is refused when written and when loaded, and
-    Tseitin on a graph without vertices names the empty graph."""
+    """A negative vertex count is refused when written and when loaded,
+    Tseitin on a graph without vertices names the empty graph, and a count
+    that is not an ASCII integer is named."""
     g = tmp_path / "g.txt"
     code, _, err = run(["gen", "graph", "--n", "-2", "--out", str(g)], capsys)
     assert code == 2 and "negative vertex count -2" in err
     assert not g.exists()
     for text, message in (("-3\n", "negative vertex count -3"),
-                          ("0\n", "base graph has no vertices")):
+                          ("0\n", "base graph has no vertices"),
+                          ("1_0\n0 1\n", "'1_0'")):
         g.write_text(text)
         code, _, err = run(["gen", "tseitin", "--graph", str(g),
                             "--out-prefix", str(tmp_path / "ts")], capsys)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -252,6 +253,15 @@ def test_non_prime_power_warns():
 def test_graph_text_round_trip():
     g = named_graph("prism")
     assert graph_from_text(graph_to_text(g)) == g
+
+
+def test_graph_text_takes_only_ascii_integers():
+    """int() would read these as 10 vertices, 4 vertices, edge (0, 3) and 4
+    vertices; each is refused, naming its token."""
+    for text, token in (("1_0\n0 1\n", "1_0"), ("\uff14\n0 1\n", "\uff14"),
+                        ("4\n0 \u0663\n", "\u0663"), ("+4\n", "+4")):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            graph_from_text(text)
 
 
 def test_isolated_vertex_detected():

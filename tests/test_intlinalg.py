@@ -93,13 +93,19 @@ def test_sparse_echelon_matches_dense_solver():
         m = IntMatrix.from_rows(dense)
         sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
         ech = SparseEchelon(cols, sparse_rows)
+        # explicit zero entries change neither the kernel nor the witnesses
+        with_zeros = SparseEchelon(cols, [dict(enumerate(r)) for r in dense])
+        assert with_zeros.kernel_basis() == ech.kernel_basis()
         rhs = {i: v for i, v in enumerate(b) if v}
         dense_sol = hnf_solve(m, b)
         x = ech.solve(rhs)
+        assert with_zeros.solve(rhs) == x == ech.solve(dict(enumerate(b)))
         if dense_sol is None:
             assert x is None
         else:
             assert x is not None and m.matvec(x) == b
+        for outside in (-1, rows):  # rhs rows the matrix does not have
+            assert ech.solve({**rhs, outside: 1}) is None
 
 
 def test_sparse_kernel_basis_spans_kernel():
@@ -117,6 +123,8 @@ def test_sparse_kernel_basis_spans_kernel():
             m = IntMatrix.from_rows(dense)
             sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
             ech = SparseEchelon(cols, sparse_rows)
+            assert all(set(vec) <= set(range(cols))
+                       for vec in ech.kernel_basis())
             basis = [[vec.get(j, 0) for j in range(cols)]
                      for vec in ech.kernel_basis()]
             hnf = hermite_normal_form(m.transpose())

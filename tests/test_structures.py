@@ -97,6 +97,16 @@ def test_brute_force_iso_examples():
     assert brute_force_iso(k4, k4, budget=3).status == "budget_exceeded"
 
 
+def test_oracles_search_past_the_recursion_limit():
+    """The search keeps its candidates on an explicit stack, so it goes as
+    deep as A has elements: here 1,500, beyond Python's recursion limit."""
+    sig = Signature((("E", 2),))
+    a = Structure.make(sig, 1500, {})
+    assert brute_force_hom(a, a).status == "found"
+    res = brute_force_iso(a, a)
+    assert res.status == "found" and sorted(res.mapping) == list(range(1500))
+
+
 def test_oracles_refuse_mismatched_signatures():
     other = Structure.make(Signature((("F", 2),)), 2, {"F": [(0, 1)]})
     for oracle in (brute_force_hom, brute_force_iso):
