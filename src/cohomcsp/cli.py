@@ -130,17 +130,12 @@ def _cmd_gen(args) -> int:
         elif degrees != {3}:
             print(f"warning: base graph is not 3-regular; equation width is {width}",
                   file=sys.stderr)
-        charge = {0: 1} if args.odd else {}
-        sys_ = tseitin_system(base, charge)
-        a, b = affine_to_instance(sys_)
-        save_structure(a, f"{args.out_prefix}_A.json")
-        save_structure(b, f"{args.out_prefix}_B.json")
-        return 0
-    # affine: the gen subparsers are required, so no other family reaches here
-    inst = next(random_instances(args.seed, "affine", count=1, q=args.q,
-                                 nvars=args.vars, neqs=args.eqs,
-                                 planted=args.planted or None))
-    a, b = affine_to_instance(inst)
+        sys_ = tseitin_system(base, {0: 1} if args.odd else {})
+    else:  # affine: the gen subparsers are required, so no other family is left
+        sys_ = next(random_instances(args.seed, "affine", count=1, q=args.q,
+                                     nvars=args.vars, neqs=args.eqs,
+                                     planted=args.planted or None))
+    a, b = affine_to_instance(sys_)
     save_structure(a, f"{args.out_prefix}_A.json")
     save_structure(b, f"{args.out_prefix}_B.json")
     return 0

@@ -51,10 +51,6 @@ class CompatibilitySystem:
     rows: list[dict[int, int]]
 
     @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
     def n_vars(self) -> int:
         return len(self.variables)
 

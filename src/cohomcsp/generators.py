@@ -6,7 +6,8 @@ ring CSP instances.
 All constructions are deterministic: gadget elements are indexed by their
 value tables in lexicographic neighbour order, relation symbols carry
 canonical names derived from their defining linear equation, and the random
-families are driven by an explicit seed.
+families are driven by an explicit seed.  `cfi_structure` and `cfi_equations`
+read one walk over gadget pairs (`_Gadgets.value_pairs`, `edge_pairs`).
 """
 
 from __future__ import annotations
@@ -122,9 +123,6 @@ class CfiSpec:
         if set(self.twist) != set(self.base.edges):
             raise ValueError("twist must be defined on exactly the edge set")
 
-    def twist_total(self) -> int:
-        return sum(self.twist.values()) % self.q
-
 
 def zero_twist(base: OrderedGraph, q: int, total: int = 0) -> CfiSpec:
     """Twist assigning `total` to the first edge and 0 elsewhere."""
@@ -157,11 +155,6 @@ class AffineSystem:
             for v in idx:
                 if not (0 <= v < self.variables):
                     raise ValueError(f"variable index {v} out of range")
-
-    def satisfied_by(self, assignment: Sequence[int]) -> bool:
-        return all(sum(c * assignment[v] for c, v in zip(coeffs, idx)) % self.q
-                   == b % self.q
-                   for coeffs, idx, b in self.equations)
 
 
 def affine_solvable_brute(sys: AffineSystem) -> bool:
@@ -296,6 +289,16 @@ class _Gadgets:
     def eid(self, x: int, local: int) -> int:
         return self.offset[x] + local
 
+    def value_pairs(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """(x, y, i, j, a_i[y] - a_j[y] mod q) for each vertex x, neighbour y and
+        elements i, j of gadget x; same-value pairs have 0, cycle pairs 1."""
+        for x in range(self.base.n):
+            elems = self.elements[x]
+            for pos, y in enumerate(self.neighbors[x]):
+                for i, a in enumerate(elems):
+                    for j, b in enumerate(elems):
+                        yield x, y, i, j, (a[pos] - b[pos]) % self.q
+
     def edge_pairs(self, spec: CfiSpec) -> Iterator[tuple[int, int, int, int, int]]:
         """(x, i, y, j, c) for each base edge (x, y) and elements i of gadget
         x, j of gadget y, with c = a_i[y] + b_j[x] - twist(x, y) mod q."""
@@ -316,31 +319,19 @@ def cfi_structure(spec: CfiSpec) -> Structure:
     q = spec.q
     sig = Signature((("prec", 2), ("RI", 3), ("RC", 3))
                     + tuple((f"RE{c}", 2) for c in range(q)))
-    prec = []
+    rels: dict[str, list[tuple[int, ...]]] = {name: [] for name in sig.names}
     for x in range(spec.base.n):
         for y in range(x + 1, spec.base.n):
             for i in range(len(g.elements[x])):
                 for j in range(len(g.elements[y])):
-                    prec.append((g.eid(x, i), g.eid(y, j)))
-    ri, rc = [], []
-    for x in range(spec.base.n):
-        for pos, y in enumerate(g.neighbors[x]):
-            for i, a in enumerate(g.elements[x]):
-                for j, b in enumerate(g.elements[x]):
-                    pad = [(g.eid(x, i), g.eid(x, j), g.eid(y, c))
-                           for c in range(len(g.elements[y]))]
-                    if a[pos] == b[pos]:
-                        ri.extend(pad)
-                    if a[pos] == (b[pos] + 1) % q:
-                        rc.extend(pad)
-    re: dict[int, list[tuple[int, int]]] = {c: [] for c in range(q)}
+                    rels["prec"].append((g.eid(x, i), g.eid(y, j)))
+    for x, y, i, j, d in g.value_pairs():
+        if d < 2:
+            rels["RC" if d else "RI"].extend((g.eid(x, i), g.eid(x, j), g.eid(y, c))
+                                             for c in range(len(g.elements[y])))
     for x, i, y, j, c in g.edge_pairs(spec):
-        re[c].append((g.eid(x, i), g.eid(y, j)))
-        re[c].append((g.eid(y, j), g.eid(x, i)))
-    relations = {"prec": prec, "RI": ri, "RC": rc}
-    for c in range(q):
-        relations[f"RE{c}"] = re[c]
-    return Structure.make(sig, g.size, relations)
+        rels[f"RE{c}"] += [(g.eid(x, i), g.eid(y, j)), (g.eid(y, j), g.eid(x, i))]
+    return Structure.make(sig, g.size, rels)
 
 
 def cfi_equations(spec: CfiSpec) -> AffineSystem:
@@ -360,18 +351,11 @@ def cfi_equations(spec: CfiSpec) -> AffineSystem:
         for i in range(len(g.elements[x])):
             idx = tuple(var_of[(g.eid(x, i), y)] for y in g.neighbors[x])
             eqs.append(((1,) * len(idx), idx, 0))
-    # same-value and cycle constraints
-    for x in range(spec.base.n):
-        for pos, y in enumerate(g.neighbors[x]):
-            elems = g.elements[x]
-            for i in range(len(elems)):
-                for j in range(len(elems)):  # i == j meets neither condition
-                    vi = var_of[(g.eid(x, i), y)]
-                    vj = var_of[(g.eid(x, j), y)]
-                    if elems[i][pos] == elems[j][pos] and i < j:
-                        eqs.append(((1, q - 1), (vi, vj), 0))
-                    if elems[i][pos] == (elems[j][pos] + 1) % q:
-                        eqs.append(((1, q - 1), (vi, vj), 1))
+    # same-value constraints once per pair, and cycle constraints
+    for x, y, i, j, d in g.value_pairs():
+        if d == 1 or (d == 0 and i < j):
+            eqs.append(((1, q - 1),
+                        (var_of[(g.eid(x, i), y)], var_of[(g.eid(x, j), y)]), d))
     # edge constraints, shifted by the twist
     for x, i, y, j, c in g.edge_pairs(spec):
         eqs.append(((1, 1),
@@ -473,7 +457,7 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
     Families: "affine" (AffineSystem over Z_q, 2 or 3 variables per
     equation), "gnp" (Erdos-Renyi ordered graph), "regular" (d-regular via
     the pairing model with rejection), and "twist" (random edge twist for a
-    given graph and modulus).
+    given graph and modulus).  q < 2, neqs < 0 and d < 0 raise before any draw.
     """
     rng = random.Random(seed)
     steps = itertools.count() if count is None else range(count)
@@ -482,6 +466,8 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
         nvars = params["nvars"]
         neqs = params["neqs"]
         planted = params.get("planted")
+        if q < 2 or neqs < 0:
+            raise ValueError(f"need q >= 2 and neqs >= 0, got q={q}, neqs={neqs}")
         for _ in steps:
             solution = [rng.randrange(q) for _ in range(nvars)]
             eqs = []
@@ -505,8 +491,8 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
     elif family == "regular":
         n = params["n"]
         d = params["d"]
-        if (n * d) % 2 != 0 or d >= n:
-            raise ValueError("d-regular graph needs n*d even and d < n")
+        if d < 0 or (n * d) % 2 != 0 or d >= n:
+            raise ValueError(f"d-regular needs 0 <= d < n={n} and n*d even, got d={d}")
         for _ in steps:
             yield _random_regular(rng, n, d)
     elif family == "twist":
@@ -554,13 +540,15 @@ def _graph_int(token: str) -> int:
 
 
 def graph_from_text(text: str) -> OrderedGraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    r"""Lines end at "\n" or "\r\n", fields at spaces and tabs (not U+2028, U+00A0)."""
+    lines = [ln for ln in (raw.removesuffix("\r").strip(" \t")
+                           for raw in text.split("\n")) if ln]
     if not lines:
         raise ValueError("empty graph file")
     n = _graph_int(lines[0])
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
+        parts = re.split(r"[ \t]+", ln)
         if len(parts) != 2:
             raise ValueError(f"graph edge line must be two integers: {ln!r}")
         edges.append((_graph_int(parts[0]), _graph_int(parts[1])))

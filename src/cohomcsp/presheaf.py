@@ -74,9 +74,6 @@ class SectionSet:
     def contexts(self) -> list[Context]:
         return sorted(self.sections, key=lambda c: (len(c), c))
 
-    def at(self, context: Context) -> set[Section]:
-        return self.sections[context]
-
     def total(self) -> int:
         return sum(len(v) for v in self.sections.values())
 

@@ -2,7 +2,8 @@
 
 Universes are always ``{0..n-1}``; external element names must be mapped to
 dense indices before construction.  Relations are sets of ordered tuples, so a
-symmetric relation has to list both orientations explicitly.
+symmetric relation has to list both orientations explicitly.  Literals and
+files alike are checked by `validate_structure`, undeclared relation names too.
 """
 
 from __future__ import annotations
@@ -50,16 +51,14 @@ class Structure:
     def make(signature: Signature, size: int,
              relations: Mapping[str, Iterable[Sequence[int]]]) -> "Structure":
         """Build a structure, normalising tuple containers, and validate it."""
-        rels = {name: frozenset(tuple(t) for t in relations.get(name, ()))
-                for name, _ in signature.symbols}
+        rels = {name: frozenset() for name in signature.names}
+        rels.update((name, frozenset(tuple(t) for t in ts))
+                    for name, ts in relations.items())
         s = Structure(signature, size, rels)
         problems = validate_structure(s)
         if problems:
             raise StructureFormatError("; ".join(problems))
         return s
-
-    def tuples(self, name: str) -> frozenset[tuple[int, ...]]:
-        return self.relations[name]
 
 
 def validate_structure(s: Structure) -> list[str]:
@@ -109,12 +108,6 @@ class LocalSection:
 
     def mapping(self) -> dict[int, int]:
         return dict(zip(self.domain, self.values))
-
-    def inverse(self) -> "LocalSection":
-        """Swap domain and values (only meaningful for injective sections)."""
-        pairs = sorted(zip(self.values, self.domain))
-        return LocalSection(tuple(b for b, _ in pairs), tuple(a for _, a in pairs),
-                            self.kind)
 
 
 def _check_section_ranges(s: LocalSection, a: Structure, b: Structure) -> None:
@@ -303,9 +296,6 @@ def structure_from_json(text: str) -> Structure:
                 for name, ts in doc.get("relations", {}).items()}
     except (KeyError, TypeError, AttributeError) as e:
         raise StructureFormatError(f"malformed structure document: {e}") from e
-    for name in rels:
-        if name not in sig.names:
-            raise StructureFormatError(f"relation {name!r} not declared in signature")
     return Structure.make(sig, size, rels)
 
 

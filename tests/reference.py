@@ -11,11 +11,12 @@ pinned-section routines decide Z-extendability of one section at a time by
 its own pinned compatibility system, which is what the engine's kernel sweep
 must agree with: the engine's homogeneous system plus one unit row per
 section at the pinned context, with the pinned section's indicator as the
-right-hand side.  `restrict` cuts a validated
-`LocalSection` down to a sub-context by looking its elements up, where the
-engine drops one value per codimension-1 face.  `remove_with_upset`,
-`downward_close` and `same_sections` are the naive section-set operations the
-fixpoint tests replay, and `enumerate_sections_per_context` is enumeration
+right-hand side.  `restrict` cuts a validated `LocalSection` down to a
+sub-context by looking its elements up, where the engine drops one value per
+codimension-1 face, and `inverse` reads a partial isomorphism backwards
+without the engine's `_inverse`.  `remove_with_upset`, `downward_close` and
+`same_sections` are the naive section-set operations the fixpoint tests
+replay, and `enumerate_sections_per_context` is enumeration
 with every context testing its own candidates, the check of the engine's
 extensions shared across contexts.  `cohom_fixpoint` is the exception: it runs the
 engine's cohomological fixpoint on a given section set, which `run_decision`
@@ -327,7 +328,7 @@ def pinned_system(s_set: SectionSet, c: Context, s: Section
     rhs: dict[int, int] = {}
     for sib in sorted(s_set.sections[c]):
         if sib == s:
-            rhs[system.n_rows] = 1
+            rhs[len(system.rows)] = 1
         system.rows.append({system.var_of[(c, sib)]: 1})
     return system, rhs
 
@@ -359,7 +360,7 @@ def z_bi_extendable(s_set: SectionSet, c: Context, s: Section) -> bool:
         raise ValueError("bi-extendability is defined for isomorphism sets only")
     if not z_extendable(s_set, c, s):
         return False
-    inv = LocalSection(c, s, "isom").inverse()
+    inv = inverse(LocalSection(c, s, "isom"))
     return z_extendable(invert_section_set(s_set), inv.domain, inv.values)
 
 
@@ -422,6 +423,13 @@ def restrict(s: LocalSection, context: Context) -> LocalSection:
             raise ValueError(f"{context} is not a subset of {dom}")
         vals.append(s.values[i])
     return LocalSection(context, tuple(vals), s.kind)
+
+
+def inverse(s: LocalSection) -> LocalSection:
+    """s read backwards, from its values to its domain (s must be injective)."""
+    back = dict(zip(s.values, s.domain))
+    image = tuple(sorted(back))
+    return LocalSection(image, tuple(back[v] for v in image), s.kind)
 
 
 def same_sections(s_set: SectionSet, other: SectionSet) -> bool:

@@ -223,11 +223,11 @@ def _planted_chain(rng):
     c = random_structure(rng, nc, density=0.4)
     g = [rng.randrange(nc) for _ in range(nb)]
     b_tuples = [t for t in itertools.product(range(nb), repeat=2)
-                if (g[t[0]], g[t[1]]) in c.tuples("E") and rng.random() < 0.7]
+                if (g[t[0]], g[t[1]]) in c.relations["E"] and rng.random() < 0.7]
     b = Structure.make(BIN_SIG, nb, {"E": b_tuples})
     f = [rng.randrange(nb) for _ in range(na)]
     a_tuples = [t for t in itertools.product(range(na), repeat=2)
-                if (f[t[0]], f[t[1]]) in b.tuples("E") and rng.random() < 0.7]
+                if (f[t[0]], f[t[1]]) in b.relations["E"] and rng.random() < 0.7]
     a = Structure.make(BIN_SIG, na, {"E": a_tuples})
     return a, b, c
 

@@ -154,13 +154,23 @@ def test_gen_tseitin_warns_on_width(tmp_path, capsys):
 
 
 def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
-    """A negative vertex count is refused when written and when loaded,
-    Tseitin on a graph without vertices names the empty graph, and a count
-    that is not an ASCII integer is named."""
+    """A negative vertex count is refused when written and when loaded, so
+    are a negative degree or equation count and a modulus below 2, Tseitin on
+    a graph without vertices names the empty graph, and a count that is not
+    an ASCII integer is named; none of them writes a file."""
     g = tmp_path / "g.txt"
     code, _, err = run(["gen", "graph", "--n", "-2", "--out", str(g)], capsys)
     assert code == 2 and "negative vertex count -2" in err
     assert not g.exists()
+    # a negative degree, equation count or a modulus below 2 writes nothing
+    code, _, err = run(["gen", "graph", "--n", "5", "--regular", "-2",
+                        "--out", str(g)], capsys)
+    assert code == 2 and "d=-2" in err and not g.exists()
+    for flags, message in ((["--q", "2", "--eqs", "-1"], "neqs=-1"),
+                           (["--q", "1", "--eqs", "2"], "q=1")):
+        code, _, err = run(["gen", "affine", "--vars", "3", "--seed", "1",
+                            "--out-prefix", str(tmp_path / "af")] + flags, capsys)
+        assert code == 2 and message in err, flags
     for text, message in (("-3\n", "negative vertex count -3"),
                           ("0\n", "base graph has no vertices"),
                           ("1_0\n0 1\n", "'1_0'")):

@@ -14,7 +14,7 @@ from cohomcsp import cohomology
 from cohomcsp.cohomology import _Kernel, _zext_sweep
 from conftest import (complete_structure, cycle_structure,
                       graph_structure, random_structure)
-from reference import (cohom_fixpoint, downward_close, pinned_system,
+from reference import (cohom_fixpoint, downward_close, inverse, pinned_system,
                        remove_with_upset, restrict, same_sections,
                        z_bi_extendable, z_extendable, z_linear_witness)
 
@@ -24,7 +24,7 @@ def _witness_is_global_section(s_set, witness, pinned):
     pinned is a (context, values) pair."""
     for c in s_set.contexts():
         coeffs = witness[c].as_dict()
-        assert set(coeffs) <= s_set.at(c)
+        assert set(coeffs) <= s_set.sections[c]
         for i in range(len(c)):
             sub = c[:i] + c[i + 1:]
             marg = {}
@@ -33,11 +33,11 @@ def _witness_is_global_section(s_set, witness, pinned):
                 marg[r] = marg.get(r, 0) + v
             sub_coeffs = witness[sub].as_dict()
             for sec in set(marg) | set(sub_coeffs):
-                if sec in s_set.at(sub):
+                if sec in s_set.sections[sub]:
                     assert marg.get(sec, 0) == sub_coeffs.get(sec, 0)
     pin_ctx, pin = pinned
     pin_coeffs = witness[pin_ctx].as_dict()
-    for sec in s_set.at(pin_ctx):
+    for sec in s_set.sections[pin_ctx]:
         assert pin_coeffs.get(sec, 0) == (1 if sec == pin else 0)
 
 
@@ -50,7 +50,7 @@ def test_compat_system_single_context_pins_empty_section():
     # variables: the empty section and both sections at (0,); one row ties
     # the two singletons to the empty section
     assert system.n_vars == 3
-    assert system.n_rows == 1
+    assert len(system.rows) == 1
     witness = z_linear_witness(s, (0,), pin)
     assert witness is not None
     assert witness[()].as_dict()[()] == 1
@@ -63,20 +63,20 @@ def test_compat_system_dimension_formulas():
     b = complete_structure(2)
     s = enumerate_sections(a, b, 3, "hom")
     system = build_compatibility_system(s)
-    n_vars = sum(len(s.at(c)) for c in s.contexts())
+    n_vars = sum(len(s.sections[c]) for c in s.contexts())
     n_rows = 0
     for c in s.contexts():
         for i in range(len(c)):
             sub = c[:i] + c[i + 1:]
-            n_rows += len(s.at(sub))
+            n_rows += len(s.sections[sub])
     assert system.n_vars == n_vars
-    assert system.n_rows == n_rows
+    assert len(system.rows) == n_rows
     # the reference pin adds one unit row per section at the pinned context
     pin_ctx = (0,)
-    pin = sorted(s.at(pin_ctx))[0]
+    pin = sorted(s.sections[pin_ctx])[0]
     pinned, rhs = pinned_system(s, pin_ctx, pin)
     assert pinned.n_vars == n_vars
-    assert pinned.n_rows == n_rows + len(s.at(pin_ctx))
+    assert len(pinned.rows) == n_rows + len(s.sections[pin_ctx])
     assert rhs == {n_rows: 1}
     with pytest.raises(ValueError):
         pinned_system(s, pin_ctx, (2,))  # B has no element 2
@@ -106,9 +106,9 @@ def test_full_h1_singletons_extendable():
                             if rng.random() < 0.6])
     b = complete_structure(2)
     s = enumerate_sections(a, b, 1, "hom")
-    assert all(len(s.at(c)) == 2 for c in s.contexts() if len(c) == 1)
+    assert all(len(s.sections[c]) == 2 for c in s.contexts() if len(c) == 1)
     for c in s.contexts():
-        for sec in s.at(c):
+        for sec in s.sections[c]:
             assert z_extendable(s, c, sec)
 
 
@@ -119,7 +119,7 @@ def test_tseitin_k4_sections_all_fail_zext():
     assert not s.is_empty()  # classically accepted
     assert not z_extendable(s, (), ())
     # a couple of spot checks deeper in the presheaf
-    some = [(c, sorted(s.at(c))[0]) for c in [(0,), (0, 1), (0, 1, 2)]]
+    some = [(c, sorted(s.sections[c])[0]) for c in [(0,), (0, 1), (0, 1, 2)]]
     for c, sec in some:
         assert not z_extendable(s, c, sec)
 
@@ -142,7 +142,7 @@ def test_sweep_matches_per_pin_zext(rng):
         for c in s.contexts():
             if len(c) != top:
                 continue
-            for sec in s.at(c):
+            for sec in s.sections[c]:
                 assert z_extendable(s, c, sec) == ((c, sec) not in failed), (a, b, sec)
 
 
@@ -166,7 +166,7 @@ def _top_coords(s_set):
     """The empty section and the stored sections at maximal contexts, as
     (context, section) pairs."""
     return [((), ())] + [(c, sec) for c in s_set.contexts()
-                         if len(c) == s_set.max_level() for sec in sorted(s_set.at(c))]
+                         if len(c) == s_set.max_level() for sec in sorted(s_set.sections[c])]
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,7 +193,7 @@ def test_restricted_kernel_equals_rebuilt_kernel(seed, kind, rounds):
     kernel = _Kernel()
     kernel.build(s)
     for _ in range(rounds):
-        stored = [(c, sec) for c in s.contexts() if c for sec in sorted(s.at(c))]
+        stored = [(c, sec) for c in s.contexts() if c for sec in sorted(s.sections[c])]
         if not stored:
             break
         s = remove_with_upset(s, rng.sample(stored, min(len(stored), rng.randint(1, 3))))
@@ -287,7 +287,7 @@ def test_scope_test_changes_no_sweep(family, seed):
         if s.is_empty():
             continue
         system = build_compatibility_system(s)
-        assert cohomology._system_shape(s) == {"rows": system.n_rows,
+        assert cohomology._system_shape(s) == {"rows": len(system.rows),
                                                "cols": system.n_vars}
         full = cohomology._empty_gcd(s)
         scoped = cohomology._empty_gcd(cohomology._scope(s))
@@ -323,7 +323,7 @@ def test_odd_tseitin_rejects_on_its_scope(monkeypatch):
     report = run_decision(a, b, 3, "cohomological", "csp")[-1]
     assert report.verdict == "reject"
     assert widths and all(10 * w < full.n_vars for w in widths), widths
-    assert report.max_system == {"rows": full.n_rows, "cols": full.n_vars}
+    assert report.max_system == {"rows": len(full.rows), "cols": full.n_vars}
 
 
 def test_kernel_basis_fill_on_tseitin():
@@ -369,7 +369,7 @@ def test_invert_section_set():
     assert inv.total() == s.total()
     assert same_sections(invert_section_set(inv), s)
     for c in inv.contexts():
-        for sec in inv.at(c):
+        for sec in inv.sections[c]:
             assert is_partial_iso(LocalSection(c, sec, "isom"), a, a)
     with pytest.raises(ValueError):
         invert_section_set(enumerate_sections(a, a, 2, "hom"))
@@ -388,18 +388,18 @@ def test_inverted_system_has_the_same_shape(seed, k):
     for s in (raw, wl_fixpoint(raw)):
         system = build_compatibility_system(s)
         inverse = build_compatibility_system(invert_section_set(s))
-        assert (inverse.n_rows, inverse.n_vars) == (system.n_rows, system.n_vars)
+        assert (len(inverse.rows), inverse.n_vars) == (len(system.rows), system.n_vars)
 
 
 def test_z_bi_extendable_basics():
     a = cycle_structure(4)
     s = wl_fixpoint(enumerate_sections(a, a, 2, "isom"))
     ident = LocalSection((0, 1), (0, 1), "isom")
-    assert ident.values in s.at(ident.domain)
+    assert ident.values in s.sections[ident.domain]
     assert z_bi_extendable(s, ident.domain, ident.values)
     # symmetry
     inv = invert_section_set(s)
-    back = ident.inverse()
+    back = inverse(ident)
     assert z_bi_extendable(inv, back.domain, back.values)
 
 
@@ -411,7 +411,7 @@ def test_cohom_fixpoint_subset_of_classical(rng):
         classical = classical_fixpoint(base)
         cohom = cohom_fixpoint(base)
         for c in cohom.contexts():
-            assert cohom.at(c) <= classical.at(c)
+            assert cohom.sections[c] <= classical.sections[c]
 
 
 def test_cohom_wl_fixpoint_subset_and_symmetry(rng):
@@ -422,7 +422,7 @@ def test_cohom_wl_fixpoint_subset_and_symmetry(rng):
         wl = wl_fixpoint(base)
         cw = cohom_fixpoint(base)
         for c in cw.contexts():
-            assert cw.at(c) <= wl.at(c)
+            assert cw.sections[c] <= wl.sections[c]
         # inversion symmetry with the run in the other direction
         other = cohom_fixpoint(enumerate_sections(b, a, 2, "isom"))
         assert same_sections(invert_section_set(cw), other)
@@ -518,7 +518,7 @@ def _reference_cohom_fixpoint(s_set, bi_directional=False):
     while True:
         victims = []
         for c in t.contexts():
-            for sec in sorted(t.at(c)):
+            for sec in sorted(t.sections[c]):
                 if len(c) < t.k:
                     check = bij_forth_holds if bi_directional else forth_holds
                     if not check(t, c, sec):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import re
 
 import pytest
@@ -9,7 +11,7 @@ from cohomcsp import (AffineSystem, CfiSpec, OrderedGraph,
                       cfi_structure, cycle_graph, graph_from_text,
                       graph_to_text, named_graph, path_graph,
                       phi_interpretation, random_instances, ring_structure,
-                      tseitin_system, zero_twist)
+                      structure_to_json, tseitin_system, zero_twist)
 from cohomcsp.generators import flow_system
 from reference import affine_solvable_mod
 
@@ -20,14 +22,18 @@ def all_twists(base, q):
         yield CfiSpec(base, q, dict(zip(edges, values)))
 
 
+def twist_total(spec):
+    return sum(spec.twist.values()) % spec.q
+
+
 def test_ring_structure_examples():
     b = ring_structure(2, [((1, 1), 0)])
     name = b.signature.names[0]
-    assert b.tuples(name) == {(0, 0), (1, 1)}
+    assert b.relations[name] == {(0, 0), (1, 1)}
     b3 = ring_structure(2, [((1, 1, 1), 1)])
-    assert len(b3.tuples(b3.signature.names[0])) == 4
+    assert len(b3.relations[b3.signature.names[0]]) == 4
     b4 = ring_structure(4, [((2,), 1)])
-    assert b4.tuples(b4.signature.names[0]) == frozenset()
+    assert b4.relations[b4.signature.names[0]] == frozenset()
     with pytest.raises(ValueError):
         ring_structure(1, [])
 
@@ -37,7 +43,7 @@ def test_ring_relation_sizes_with_unit_coefficient():
         for m in (1, 2, 3):
             coeffs = tuple([1] + [q - 1] * (m - 1))
             b = ring_structure(q, [(coeffs, 1)])
-            assert len(b.tuples(b.signature.names[0])) == q ** (m - 1)
+            assert len(b.relations[b.signature.names[0]]) == q ** (m - 1)
 
 
 def test_affine_to_instance_round_trip():
@@ -71,7 +77,9 @@ def test_tseitin():
     sys_ = tseitin_system(c4, {0: 1, 1: 1})
     assert affine_solvable_brute(sys_)
     # the edge between the two charged vertices flips both parities
-    assert sys_.satisfied_by([1, 0, 0, 0])
+    x = [1, 0, 0, 0]
+    assert all(sum(c * x[v] for c, v in zip(coeffs, idx)) % 2 == b
+               for coeffs, idx, b in sys_.equations)
     with pytest.raises(ValueError):
         tseitin_system(OrderedGraph.make(3, [(0, 1)]), {})
 
@@ -128,13 +136,13 @@ def test_cfi_structure_sizes():
 def test_cfi_preorder_and_adjacency():
     spec = zero_twist(named_graph("k3"), 2)
     s = cfi_structure(spec)
-    prec = s.tuples("prec")
+    prec = s.relations["prec"]
     # linear preorder: exactly the cross-gadget ordered pairs, gadgets of size 2
     gadget = [e // 2 for e in range(s.size)]
     for a, b in itertools.product(range(s.size), repeat=2):
         assert ((a, b) in prec) == (gadget[a] < gadget[b])
     for c in range(2):
-        for a, b in s.tuples(f"RE{c}"):
+        for a, b in s.relations[f"RE{c}"]:
             assert gadget[a] != gadget[b]
     # on a path base, RE must only relate gadgets of adjacent base vertices
     p = cfi_structure(zero_twist(path_graph(3), 2))
@@ -142,7 +150,7 @@ def test_cfi_preorder_and_adjacency():
     gadget_p = [next(i for i in range(3) if bounds[i] <= e < bounds[i + 1])
                 for e in range(p.size)]
     for c in range(2):
-        for a, b in p.tuples(f"RE{c}"):
+        for a, b in p.relations[f"RE{c}"]:
             assert abs(gadget_p[a] - gadget_p[b]) == 1
 
 
@@ -151,7 +159,7 @@ def test_cfi_iso_iff_equal_totals_small():
     structs = {}
     for spec in all_twists(base, 2):
         structs[tuple(sorted(spec.twist.items()))] = (
-            spec.twist_total(), cfi_structure(spec))
+            twist_total(spec), cfi_structure(spec))
     items = list(structs.values())
     for (t1, s1), (t2, s2) in itertools.combinations(items, 2):
         assert (brute_force_iso(s1, s2).status == "found") == (t1 == t2)
@@ -174,7 +182,7 @@ def test_cfi_equations_exhaustive_small_base():
     for q in (2, 3):
         for spec in all_twists(base, q):
             sys_ = cfi_equations(spec)
-            assert affine_solvable_brute(sys_) == (spec.twist_total() == 0)
+            assert affine_solvable_brute(sys_) == (twist_total(spec) == 0)
 
 
 def test_cfi_equations_random_bases_up_to_5_vertices(rng):
@@ -190,7 +198,34 @@ def test_cfi_equations_random_bases_up_to_5_vertices(rng):
         spec = next(random_instances(rng.randrange(10**6), "twist", count=1,
                                      graph=g, q=q))
         assert affine_solvable_mod(cfi_equations(spec)) == \
-               (spec.twist_total() == 0)
+               (twist_total(spec) == 0)
+
+
+# sha256 prefixes of structure_to_json(cfi_structure(spec)) and of
+# json.dumps([q, variables, equations]) of cfi_equations(spec), recorded before
+# both builders were moved onto one walk over gadget pairs
+CFI_DIGESTS = {
+    ("k4", 2, 0): ("1683771df571b761", "e7910392ae8b03c2"),
+    ("k4", 2, 1): ("1d121107c6bd3a27", "e165f01210d22b79"),
+    ("k3", 3, 0): ("e63e180f6ce74d47", "1f502ff8c90e500f"),
+    ("k3", 3, 1): ("9cb4b915f49568b7", "0a01f88b6d3c1534"),
+    ("k33", 2, 0): ("35b936561b01be86", "85b91d5e7c873a07"),
+    ("k33", 2, 1): ("e1eae15a194c3a5b", "2a0c1e17837ea968"),
+    ("prism", 2, 0): ("c3876adb52e4b1a9", "9faf6cc96a1dbd6c"),
+    ("prism", 2, 1): ("618431453af22717", "78e33ff019491185"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CFI_DIGESTS))
+def test_cfi_builders_match_recorded_digests(key):
+    """Same relations, and the same equations in the same order."""
+    name, q, total = key
+    spec = zero_twist(named_graph(name), q, total)
+    sys_ = cfi_equations(spec)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in (
+        structure_to_json(cfi_structure(spec)),
+        json.dumps([sys_.q, sys_.variables, sys_.equations])))
+    assert digests == CFI_DIGESTS[key]
 
 
 def _connected(g):
@@ -243,6 +278,12 @@ def test_random_instances_deterministic():
         assert all(g.degree(v) == 3 for v in range(g.n))
     with pytest.raises(ValueError):
         next(random_instances(1, "regular", count=1, n=5, d=3))
+    # bad parameters are refused before anything is drawn, naming the parameter
+    for family, params, name in (("regular", dict(n=5, d=-2), "d=-2"),
+                                 ("affine", dict(q=2, nvars=3, neqs=-1), "neqs=-1"),
+                                 ("affine", dict(q=1, nvars=3, neqs=2), "q=1")):
+        with pytest.raises(ValueError, match=name):
+            next(random_instances(1, family, count=1, **params))
 
 
 def test_non_prime_power_warns():
@@ -256,12 +297,17 @@ def test_graph_text_round_trip():
 
 
 def test_graph_text_takes_only_ascii_integers():
-    """int() would read these as 10 vertices, 4 vertices, edge (0, 3) and 4
-    vertices; each is refused, naming its token."""
+    """int() would read the first four as 10 vertices, 4 vertices, edge
+    (0, 3) and 4 vertices, and splitlines() or split() would read the last
+    four as edge (0, 1); each is refused, naming its token or line."""
     for text, token in (("1_0\n0 1\n", "1_0"), ("\uff14\n0 1\n", "\uff14"),
-                        ("4\n0 \u0663\n", "\u0663"), ("+4\n", "+4")):
+                        ("4\n0 \u0663\n", "\u0663"), ("+4\n", "+4"),
+                        ("2\u20280 1\n", "2\u20280 1"), ("2\x1c0 1\n", "2\x1c0 1"),
+                        ("2\n0\u00a01\n", "0\u00a01"), ("2\n0\u30001\n", "0\u30001")):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
             graph_from_text(text)
+    # CRLF line ends, tabs and runs of blanks still load
+    assert graph_from_text("2\r\n0\t 1\r\n\r\n") == OrderedGraph.make(2, [(0, 1)])
 
 
 def test_isolated_vertex_detected():

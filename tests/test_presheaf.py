@@ -49,7 +49,7 @@ def test_enumerate_k2_k3_counts():
     s1 = enumerate_sections(k2, k3, 1, "hom")
     assert s1.per_size() == {0: 1, 1: 6}
     s2 = enumerate_sections(k2, k3, 2, "hom")
-    at01 = s2.at((0, 1))
+    at01 = s2.sections[(0, 1)]
     assert len(at01) == 6
     assert all(s[0] != s[1] for s in at01)
 
@@ -58,7 +58,7 @@ def test_enumerate_isom_different_sizes_local():
     a = complete_structure(3)
     b = complete_structure(4)
     s = enumerate_sections(a, b, 1, "isom")
-    assert len(s.at((0,))) == 4
+    assert len(s.sections[(0,)]) == 4
 
 
 def test_enumerate_matches_naive(rng):
@@ -134,14 +134,14 @@ def test_forth_holds_examples():
     # H_2(C3, K2): {0 -> 0} extends at both other elements via value 1
     t = enumerate_sections(cycle_structure(3), complete_structure(2), 2, "hom")
     for a in (1, 2):
-        assert (0, 1) in t.at((0, a))
+        assert (0, 1) in t.sections[(0, a)]
     assert forth_holds(t, (0,), (0,))
     # only the empty section over a nonempty A: no extension exists
     empty_only = SectionSet(k2, k3, 2, "hom")
     empty_only.sections[()].add(())
     assert not forth_holds(empty_only, (), ())
     with pytest.raises(ValueError):
-        forth_holds(s, (0, 1), next(iter(s.at((0, 1)))))  # |dom| = k
+        forth_holds(s, (0, 1), next(iter(s.sections[(0, 1)])))  # |dom| = k
 
 
 def test_bij_forth_examples():
@@ -166,9 +166,9 @@ def test_remove_with_upset():
     assert remove_with_upset(s, [((), ())]).total() == 0
     victim = ((0,), (0,))
     pruned = remove_with_upset(s, [victim])
-    assert victim[1] not in pruned.at(victim[0])
-    assert all(sec[0] != 0 for sec in pruned.at((0, 1)))
-    assert len(pruned.at((0, 1))) == 4  # 6 minus the two mapping 0 -> 0
+    assert victim[1] not in pruned.sections[victim[0]]
+    assert all(sec[0] != 0 for sec in pruned.sections[(0, 1)])
+    assert len(pruned.sections[(0, 1)]) == 4  # 6 minus the two mapping 0 -> 0
 
 
 def test_downward_close():
@@ -215,11 +215,11 @@ def test_classical_fixpoint_output_flasque(rng):
         b = random_structure(rng, 3)
         out = classical_fixpoint(enumerate_sections(a, b, 2, "hom"))
         for c in out.contexts():
-            for s in out.at(c):
+            for s in out.sections[c]:
                 for big in out.contexts():
                     if len(big) == len(c) + 1 and set(c) <= set(big):
                         assert any(restrict(LocalSection(big, t), c).values == s
-                                   for t in out.at(big)), \
+                                   for t in out.sections[big]), \
                             "restriction map not surjective"
 
 
@@ -258,7 +258,7 @@ def test_propagate_leaves_set_downward_closed(rng):
         b = random_structure(rng, 3)
         for kind, fixpoint in (("hom", classical_fixpoint), ("isom", wl_fixpoint)):
             t = fixpoint(enumerate_sections(a, b, 2, kind))
-            entries = sorted((c, s) for c in t.contexts() for s in t.at(c))
+            entries = sorted((c, s) for c in t.contexts() for s in t.sections[c])
             _propagate(t, rng.sample(entries, min(3, len(entries))), [])
             assert _downward_close_inplace(t.copy()) == []
 
@@ -288,7 +288,7 @@ def test_propagate_matches_fixpoint_after_removal(seed, kind, k, n_victims, empt
     t = fixpoint(enumerate_sections(a, b, k, kind))
     size = rng.randint(1, t.max_level())
     stored = sorted((c, s) for c in t.contexts() if c and (mixed or len(c) == size)
-                    for s in t.at(c))
+                    for s in t.sections[c])
     assume(stored)
     victims = set(rng.sample(stored, min(n_victims, len(stored))))
     if empty:
@@ -314,7 +314,7 @@ def test_fixpoint_order_invariance(rng):
         reference = classical_fixpoint(base)
         # rebuild with shuffled insertion order (different set iteration order)
         shuffled = SectionSet(a, b, 2, "hom")
-        entries = [(c, s) for c in base.contexts() for s in base.at(c)]
+        entries = [(c, s) for c in base.contexts() for s in base.sections[c]]
         local.shuffle(entries)
         for c, s in entries:
             shuffled.sections[c].add(s)

@@ -8,6 +8,7 @@ from cohomcsp import (LocalSection, Signature, Structure, StructureFormatError,
                       validate_structure)
 from conftest import (BIN_SIG, MALFORMED_DOCS, complete_structure,
                       cycle_structure, graph_structure, random_structure)
+from reference import inverse
 
 
 def test_signature_rejects_duplicates_and_bad_arity():
@@ -169,7 +170,7 @@ def test_partial_iso_inverse_symmetry(rng):
             for vals in itertools.permutations(range(3), 2):
                 s = LocalSection(dom, vals, "isom")
                 if is_partial_iso(s, a, b):
-                    assert is_partial_iso(s.inverse(), b, a)
+                    assert is_partial_iso(inverse(s), b, a)
 
 
 def test_restriction_of_partial_hom_is_partial_hom(rng):
@@ -202,6 +203,10 @@ def test_json_diagnostics():
             '{"signature":[{"name":"E","arity":2}],"size":3,"relations":{"F":[]}}')
     with pytest.raises(StructureFormatError, match="invalid JSON"):
         structure_from_json("{nope")
+    # the Python API refuses an undeclared relation too, instead of dropping it
+    with pytest.raises(StructureFormatError, match="'F' not declared"):
+        Structure.make(Signature((("E", 2),)), 3,
+                       {"E": [(0, 1)], "F": [(5, 5, 5)]})
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
