@@ -79,11 +79,7 @@ def _compare_doc(a, b, k: int, problem: str) -> dict:
 
 
 def _cmd_decide(args, problem: str) -> int:
-    try:
-        a, b = _load_pair(args.a, args.b)
-    except (OSError, StructureFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    a, b = _load_pair(args.a, args.b)
     if args.compare:
         doc = _compare_doc(a, b, args.k, problem)
         _write_output(json.dumps(doc, sort_keys=True), args.out)
@@ -183,16 +179,11 @@ def _bench_row(row: object, budget: int) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with open(args.manifest, "r", encoding="utf-8") as f:
+        manifest = json.load(f)
     rows = manifest.get("rows") if isinstance(manifest, dict) else None
     if not isinstance(rows, list):
-        print('error: the manifest must be {"rows": [...]}', file=sys.stderr)
-        return 2
+        raise ValueError('the manifest must be {"rows": [...]}')
     results = [_bench_row(r, args.budget) for r in rows]
     if args.format == "json":
         _write_output(json.dumps({"rows": results}, sort_keys=True), args.out)

@@ -160,7 +160,7 @@ class AffineSystem:
 def affine_solvable_brute(sys: AffineSystem) -> bool:
     """Exhaustive modular satisfiability by backtracking (test oracle)."""
     last_var_eqs: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = \
-        [[] for _ in range(max(sys.variables, 1))]
+        [[] for _ in range(sys.variables)]
     for eq in sys.equations:
         last_var_eqs[max(eq[1])].append(eq)
     assign = [0] * sys.variables
@@ -176,8 +176,6 @@ def affine_solvable_brute(sys: AffineSystem) -> bool:
                     return True
         return False
 
-    if sys.variables == 0:
-        return all(b % sys.q == 0 for _, _, b in sys.equations)
     return backtrack(0)
 
 
@@ -403,11 +401,10 @@ def phi_interpretation(cfi: Structure, q: int) -> tuple[Structure, Structure]:
     z_of = {p: len(pairs) + i for i, p in enumerate(pairs)}
     universe = 2 * len(pairs)
 
-    rels: dict[tuple[tuple[int, ...], int], set[tuple[int, ...]]] = {}
+    eqs: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
 
     def emit(coeffs: tuple[int, ...], const: int, tup: tuple[int, ...]) -> None:
-        shape = _canonical_shape(q, coeffs, const)
-        rels.setdefault(shape, set()).add(tup)
+        eqs.append((coeffs, tup, const))
 
     # identify w/z across mates within the same neighbouring gadget
     for (a, b) in pairs:
@@ -440,12 +437,7 @@ def phi_interpretation(cfi: Structure, q: int) -> tuple[Structure, Structure]:
                     emit((1, 1, -1), 0, (z_of[(a, bp)], w_of[(a, b)], z_of[(a, b)]))
         for b in members[nbr_gadgets[-1]]:
             emit((1,), 0, (z_of[(a, b)],))
-
-    b_struct = ring_structure(q, [(coeffs, const) for coeffs, const in rels])
-    relations = {_shape_name(*shape): sorted(tuples)
-                 for shape, tuples in rels.items()}
-    a_struct = Structure.make(b_struct.signature, universe, relations)
-    return a_struct, b_struct
+    return affine_to_instance(AffineSystem(q, universe, tuple(eqs)))
 
 
 # --- random families -----------------------------------------------------------
@@ -457,7 +449,8 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
     Families: "affine" (AffineSystem over Z_q, 2 or 3 variables per
     equation), "gnp" (Erdos-Renyi ordered graph), "regular" (d-regular via
     the pairing model with rejection), and "twist" (random edge twist for a
-    given graph and modulus).  q < 2, neqs < 0 and d < 0 raise before any draw.
+    given graph and modulus).  q < 2, neqs < 0, nvars < 0 (or 0 with
+    equations), p outside [0, 1] and d < 0 raise before any draw.
     """
     rng = random.Random(seed)
     steps = itertools.count() if count is None else range(count)
@@ -466,8 +459,9 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
         nvars = params["nvars"]
         neqs = params["neqs"]
         planted = params.get("planted")
-        if q < 2 or neqs < 0:
-            raise ValueError(f"need q >= 2 and neqs >= 0, got q={q}, neqs={neqs}")
+        if q < 2 or neqs < 0 or nvars < 0 or (nvars == 0 and neqs > 0):
+            raise ValueError(f"need q >= 2, neqs >= 0 and nvars >= 0 (>= 1 with "
+                             f"equations), got q={q}, neqs={neqs}, nvars={nvars}")
         for _ in steps:
             solution = [rng.randrange(q) for _ in range(nvars)]
             eqs = []
@@ -484,6 +478,8 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
     elif family == "gnp":
         n = params["n"]
         p = params["p"]
+        if not 0 <= p <= 1:
+            raise ValueError(f"gnp needs 0 <= p <= 1, got p={p}")
         for _ in steps:
             edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                      if rng.random() < p]

@@ -175,7 +175,7 @@ def forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
 def bij_forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
     """Bijective forth: one bijection A -> B must extend s pointwise within the set.
 
-    Decided by maximum matching on the bipartite graph of admissible pairs.
+    Holds iff the bipartite graph of admissible pairs has a perfect matching.
     """
     if len(c) >= s_set.k:
         raise ValueError("bijective forth is only defined for sections below size k")

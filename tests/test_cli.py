@@ -155,20 +155,25 @@ def test_gen_tseitin_warns_on_width(tmp_path, capsys):
 
 def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
     """A negative vertex count is refused when written and when loaded, so
-    are a negative degree or equation count and a modulus below 2, Tseitin on
-    a graph without vertices names the empty graph, and a count that is not
-    an ASCII integer is named; none of them writes a file."""
+    are a negative degree, an edge probability outside [0, 1], a negative
+    equation or variable count, no variables for some equations and a modulus
+    below 2, Tseitin on a graph without vertices names the empty graph, and a
+    count that is not an ASCII integer is named; none of them writes a file."""
     g = tmp_path / "g.txt"
     code, _, err = run(["gen", "graph", "--n", "-2", "--out", str(g)], capsys)
     assert code == 2 and "negative vertex count -2" in err
     assert not g.exists()
-    # a negative degree, equation count or a modulus below 2 writes nothing
-    code, _, err = run(["gen", "graph", "--n", "5", "--regular", "-2",
-                        "--out", str(g)], capsys)
-    assert code == 2 and "d=-2" in err and not g.exists()
-    for flags, message in ((["--q", "2", "--eqs", "-1"], "neqs=-1"),
-                           (["--q", "1", "--eqs", "2"], "q=1")):
-        code, _, err = run(["gen", "affine", "--vars", "3", "--seed", "1",
+    # a bad degree, probability, count or modulus writes nothing
+    for flags, message in ((["--n", "5", "--regular", "-2"], "d=-2"),
+                           (["--n", "4", "--p", "7"], "p=7"),
+                           (["--n", "4", "--p", "-3"], "p=-3")):
+        code, _, err = run(["gen", "graph", "--out", str(g)] + flags, capsys)
+        assert code == 2 and message in err and not g.exists(), flags
+    for flags, message in ((["--q", "2", "--vars", "3", "--eqs", "-1"], "neqs=-1"),
+                           (["--q", "1", "--vars", "3", "--eqs", "2"], "q=1"),
+                           (["--q", "2", "--vars", "-1", "--eqs", "2"], "nvars=-1"),
+                           (["--q", "2", "--vars", "0", "--eqs", "2"], "nvars=0")):
+        code, _, err = run(["gen", "affine", "--seed", "1",
                             "--out-prefix", str(tmp_path / "af")] + flags, capsys)
         assert code == 2 and message in err, flags
     for text, message in (("-3\n", "negative vertex count -3"),
@@ -364,6 +369,43 @@ def test_bench_malformed_manifests(tmp_path, capsys):
         m.write_text(json.dumps(doc))
         code, out, err = run(["bench", "--manifest", str(m)], capsys)
         assert code == 2 and out == "" and err.startswith("error:"), doc
+
+
+MANIFEST_ERROR = 'error: the manifest must be {"rows": [...]}'
+NO_FILE = "error: [Errno 2] No such file or directory: '<missing>'"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["decide-csp", "<A>", "<missing>", "--k", "2"], NO_FILE),
+    (["decide-csp", "<bad>", "<A>", "--k", "2"], "error: invalid JSON: "
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["decide-csp", "<A>", "<other>", "--k", "2"],
+     "error: signature mismatch between <A> and <other>"),
+    (["bench", "--manifest", "<missing>"], NO_FILE),
+    (["bench", "--manifest", "<bad>"], "error: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["bench", "--manifest", "<rows3>"], MANIFEST_ERROR),
+    (["bench", "--manifest", "<list>"], MANIFEST_ERROR),
+], ids=["decide-missing", "decide-bad-json", "decide-signature", "bench-missing",
+        "bench-bad-json", "bench-rows-3", "bench-bare-list"])
+def test_cli_error_is_one_line_and_exit_2(tmp_path, capsys, argv, expected):
+    """Load and manifest errors reach main's handler: exit 2, nothing on
+    stdout and exactly one `error: ...` line on stderr, no traceback."""
+    paths = {n: str(tmp_path / f"{n}.json")
+             for n in ("A", "other", "bad", "rows3", "list", "missing")}
+    save_structure(cycle_structure(3), paths["A"])
+    save_structure(Structure.make(Signature((("R", 1),)), 2, {"R": [(0,)]}),
+                   paths["other"])
+    for n, text in (("bad", "{not json"), ("rows3", '{"rows": 3}'),
+                    ("list", "[]")):
+        (tmp_path / f"{n}.json").write_text(text)
+
+    def fill(text):
+        for n, path in paths.items():
+            text = text.replace(f"<{n}>", path)
+        return text
+    code, out, err = run([fill(a) for a in argv], capsys)
+    assert (code, out, err) == (2, "", fill(expected) + "\n")
 
 
 @pytest.mark.parametrize("family", ["cfi", "tseitin"])

@@ -215,17 +215,37 @@ CFI_DIGESTS = {
     ("prism", 2, 1): ("618431453af22717", "78e33ff019491185"),
 }
 
+# sha256 prefixes of structure_to_json of A and of B from
+# phi_interpretation(cfi_structure(spec), q), recorded before Phi was encoded
+# through affine_to_instance
+PHI_DIGESTS = {
+    ("k4", 2, 0): ("b41c014f7e20b821", "022b108d43664e90"),
+    ("k4", 2, 1): ("eca33b6cc82fef2d", "022b108d43664e90"),
+    ("k3", 3, 0): ("721d64fbba4fad6e", "4be42924af2660a7"),
+    ("k3", 3, 1): ("3b90f351804bec97", "4be42924af2660a7"),
+    ("k33", 2, 0): ("7f89a10775766e33", "022b108d43664e90"),
+    ("k33", 2, 1): ("3868dcf8d0487f55", "022b108d43664e90"),
+}
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
 
 @pytest.mark.parametrize("key", sorted(CFI_DIGESTS))
 def test_cfi_builders_match_recorded_digests(key):
-    """Same relations, and the same equations in the same order."""
+    """Same relations, and the same equations in the same order; Phi gives
+    the same pair of structures."""
     name, q, total = key
     spec = zero_twist(named_graph(name), q, total)
     sys_ = cfi_equations(spec)
-    digests = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in (
-        structure_to_json(cfi_structure(spec)),
-        json.dumps([sys_.q, sys_.variables, sys_.equations])))
+    digests = (_sha16(structure_to_json(cfi_structure(spec))),
+               _sha16(json.dumps([sys_.q, sys_.variables, sys_.equations])))
     assert digests == CFI_DIGESTS[key]
+    if key in PHI_DIGESTS:
+        pair = phi_interpretation(cfi_structure(spec), q)
+        assert tuple(_sha16(structure_to_json(s)) for s in pair) == \
+            PHI_DIGESTS[key]
 
 
 def _connected(g):
@@ -271,6 +291,10 @@ def test_random_instances_deterministic():
     assert a1 == a2
     empty = next(random_instances(1, "affine", count=1, q=2, nvars=3, neqs=0))
     assert empty.equations == ()
+    no_vars = next(random_instances(1, "affine", count=1, q=2, nvars=0, neqs=0))
+    assert no_vars == AffineSystem(2, 0, ()) and affine_solvable_brute(no_vars)
+    assert {len(next(random_instances(1, "gnp", count=1, n=4, p=p)).edge_list())
+            for p in (0, 1)} == {0, 6}
     g1 = list(random_instances(7, "regular", count=2, n=6, d=3))
     g2 = list(random_instances(7, "regular", count=2, n=6, d=3))
     assert g1 == g2
@@ -281,7 +305,11 @@ def test_random_instances_deterministic():
     # bad parameters are refused before anything is drawn, naming the parameter
     for family, params, name in (("regular", dict(n=5, d=-2), "d=-2"),
                                  ("affine", dict(q=2, nvars=3, neqs=-1), "neqs=-1"),
-                                 ("affine", dict(q=1, nvars=3, neqs=2), "q=1")):
+                                 ("affine", dict(q=1, nvars=3, neqs=2), "q=1"),
+                                 ("affine", dict(q=2, nvars=-1, neqs=2), "nvars=-1"),
+                                 ("affine", dict(q=2, nvars=0, neqs=2), "nvars=0"),
+                                 ("gnp", dict(n=4, p=7), "p=7"),
+                                 ("gnp", dict(n=4, p=-3), "p=-3")):
         with pytest.raises(ValueError, match=name):
             next(random_instances(1, family, count=1, **params))
 

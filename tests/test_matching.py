@@ -1,4 +1,4 @@
-from cohomcsp.matching import has_perfect_matching, maximum_matching
+from cohomcsp.matching import has_perfect_matching
 
 
 def test_perfect_matching_exists():
@@ -12,16 +12,10 @@ def test_no_perfect_matching_on_shared_neighbour():
 
 
 def test_augmenting_path_reassignment():
-    # greedy would strand vertex 2 without augmenting paths
-    adj = [[0, 1], [0], [1]]
-    match = maximum_matching(3, 2, adj)
-    assert sorted(v for v in match if v != -1) == [0, 1]
-
-
-def test_deterministic():
-    adj = [[0, 1], [0, 1]]
-    first = maximum_matching(2, 2, adj)
-    assert first == maximum_matching(2, 2, adj) == [1, 0]
+    # greedy would strand vertex 1 without augmenting paths
+    assert has_perfect_matching(3, [[0, 1], [0], [2]])
+    # vertex 0 gives up 0 for vertex 1, then no path reaches vertex 2
+    assert not has_perfect_matching(3, [[0, 1], [0], [1]])
 
 
 def test_long_augmenting_path_needs_no_recursion():
@@ -29,4 +23,4 @@ def test_long_augmenting_path_needs_no_recursion():
     back through every vertex: 3,000 steps, past the default recursion limit."""
     n = 3000
     adj = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
-    assert maximum_matching(n, n, adj) == list(range(n))
+    assert has_perfect_matching(n, adj)
