@@ -96,14 +96,20 @@ def _load_graph_file(path: str):
 
 def _cmd_gen(args) -> int:
     if args.family == "graph":
-        if args.graph_name:
+        given = [f"--{f}" for f in ("n", "regular", "p") if getattr(args, f) is not None]
+        if args.graph_name is not None and given:
+            raise ValueError(f"--name cannot be combined with {', '.join(given)}")
+        if args.regular is not None and args.p is not None:
+            raise ValueError("--regular cannot be combined with --p")
+        n = 6 if args.n is None else args.n
+        if args.graph_name is not None:
             g = named_graph(args.graph_name)
         elif args.regular is not None:
             g = next(random_instances(args.seed, "regular", count=1,
-                                      n=args.n, d=args.regular))
+                                      n=n, d=args.regular))
         else:
             g = next(random_instances(args.seed, "gnp", count=1,
-                                      n=args.n, p=args.p))
+                                      n=n, p=0.5 if args.p is None else args.p))
         _write_output(graph_to_text(g), args.out)
         return 0
     if args.family == "cfi":
@@ -221,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = g.add_subparsers(dest="family", required=True)
 
     gg = gsub.add_parser("graph", help="write a graph file")
-    gg.add_argument("--n", type=int, default=6)
-    gg.add_argument("--p", type=float, default=0.5)
+    gg.add_argument("--n", type=int, help="vertex count (default 6)")
+    gg.add_argument("--p", type=float, help="edge probability (default 0.5)")
     gg.add_argument("--regular", type=int, default=None, metavar="D")
     gg.add_argument("--name", dest="graph_name", default=None,
                     help="named base graph (k3, k4, k33, prism, cN, p3)")

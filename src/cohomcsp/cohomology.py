@@ -14,9 +14,9 @@ is the last one's minus an upward-closed set of sections, so its kernel is
 cut down from the last one's, kept as its projections onto the maximal
 contexts.
 A compatible family restricts to one on any downward-closed set of contexts,
-so the first round tries the empty section on the scope sub-presheaf (around
-the A-tuples) before the full system, when the scope holds at most half the
-sections, and rejects from there when it fails.
+so when the scope sub-presheaf (around the A-tuples) holds at most half the
+sections, the first round builds the same kernel on it before the full
+system, and rejects from there when the empty section fails.
 
 Restrictions compose, so compatibility constraints are generated only for
 codimension-1 inclusions; agreement along those implies agreement for all
@@ -210,23 +210,6 @@ def _scope(s_set: SectionSet) -> SectionSet:
                       {d: s_set.sections[d] for d in faces})
 
 
-def _empty_gcd(s_set: SectionSet) -> int:
-    """The gcd of the empty section's coordinate over the kernel of s_set's
-    system: the empty section is Z-extendable in s_set iff it is 1."""
-    system = build_compatibility_system(s_set)
-    basis = SparseEchelon(system.n_vars, system.rows).kernel_basis()
-    empty = system.var_of[((), ())]
-    return math.gcd(*(vec.get(empty, 0) for vec in basis))
-
-
-def _scope_rejects(s_set: SectionSet) -> bool:
-    """True when the empty section is not Z-extendable on s_set's scope
-    sub-presheaf, tried only when the scope holds at most half the stored
-    sections (beyond that it costs most of a full elimination)."""
-    scope = _scope(s_set)
-    return 2 * scope.total() <= s_set.total() and _empty_gcd(scope) != 1
-
-
 def _zext_sweep(s_set: SectionSet, kernel: _Kernel
                 ) -> Optional[list[tuple[Context, Section]]]:
     """Find the stored sections that are not Z-extendable in s_set.
@@ -238,15 +221,15 @@ def _zext_sweep(s_set: SectionSet, kernel: _Kernel
     section inherits a witness from any surviving extension, and one whose
     extensions all fail is removed by the forth closure that follows.
 
-    The first sweep of a kernel tries the empty section on the scope
-    sub-presheaf first (`_scope`), when that holds at most half the stored
-    sections, and returns None without building the full system when it
-    fails there.  This is sound: the scope is downward closed, so each row
-    of its system is a row of the full system over the same variables, and
-    a full kernel vector with empty coordinate 1 restricts to a scope kernel
-    vector with empty coordinate 1.  The benchmark's Tseitin instances keep
-    1-3 % of their sections in scope, its CFI pairs 67-74 %, where the test
-    would cost most of a full build.
+    The first sweep of a kernel builds it on the scope sub-presheaf first
+    (`_scope`), when that holds at most half the stored sections (beyond that
+    it costs most of a full elimination), and returns None without building
+    the full system when the empty section fails there.  This is sound: the
+    scope is downward closed, so each row of its system is a row of the full
+    system over the same variables, and a full kernel vector with empty
+    coordinate 1 restricts to a scope kernel vector with empty coordinate 1.
+    The benchmark's Tseitin instances keep 1-3 % of their sections in scope,
+    its CFI pairs 67-74 %.
 
     A pin (C, s) is feasible iff the indicator of s lies in the projection of
     the unpinned system's kernel onto the coordinates of S(C), so all pins at
@@ -257,8 +240,11 @@ def _zext_sweep(s_set: SectionSet, kernel: _Kernel
     deduplicates them per context and feeds each context's lattice.
     """
     if kernel.basis is None:
-        if _scope_rejects(s_set):
-            return None
+        scope = _scope(s_set)
+        if 2 * scope.total() <= s_set.total():
+            kernel.build(scope)
+            if math.gcd(*(empty for empty, _ in kernel.basis)) != 1:
+                return None
         kernel.build(s_set)
     else:
         kernel.restrict(s_set)

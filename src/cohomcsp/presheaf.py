@@ -154,20 +154,18 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
 def forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
     """Forth property: every element of A extends s by some value within the set.
 
-    Only defined for sections with |c| < k.  For elements already in c the only
-    admissible extension is the section itself.
+    Only defined for sections with |c| < k, and s must be stored at c.  For
+    elements already in c the only admissible extension is the section itself.
     """
     if len(c) >= s_set.k:
         raise ValueError("forth is only defined for sections below size k")
-    used = set(s) if s_set.kind == "isom" else ()
     for a in range(s_set.a.size):
         pos = bisect_left(c, a)
         if pos < len(c) and c[pos] == a:
             continue
         stored = s_set.sections[c[:pos] + (a,) + c[pos:]]
         head, tail = s[:pos], s[pos:]
-        if not any(head + (bv,) + tail in stored
-                   for bv in range(s_set.b.size) if bv not in used):
+        if not any(head + (bv,) + tail in stored for bv in range(s_set.b.size)):
             return False
     return True
 
@@ -176,24 +174,23 @@ def bij_forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
     """Bijective forth: one bijection A -> B must extend s pointwise within the set.
 
     Holds iff the bipartite graph of admissible pairs has a perfect matching.
+    s must be stored at c: an element of c then admits only its own value, and
+    no extension repeating a value of s is stored (it is not injective).
     """
     if len(c) >= s_set.k:
         raise ValueError("bijective forth is only defined for sections below size k")
     n = s_set.a.size
     if n != s_set.b.size:
         raise ValueError("bijective forth requires equal universe sizes")
-    alive = s in s_set.sections[c]
-    used = set(s)
     adj: list[list[int]] = []
     for a in range(n):
         pos = bisect_left(c, a)
         if pos < len(c) and c[pos] == a:
-            adj.append([s[pos]] if alive else [])
+            adj.append([s[pos]])
             continue
         stored = s_set.sections[c[:pos] + (a,) + c[pos:]]
         head, tail = s[:pos], s[pos:]
-        adj.append([bv for bv in range(n) if bv not in used and
-                    head + (bv,) + tail in stored])
+        adj.append([bv for bv in range(n) if head + (bv,) + tail in stored])
     return has_perfect_matching(n, adj)
 
 

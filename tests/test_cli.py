@@ -155,10 +155,11 @@ def test_gen_tseitin_warns_on_width(tmp_path, capsys):
 
 def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
     """A negative vertex count is refused when written and when loaded, so
-    are a negative degree, an edge probability outside [0, 1], a negative
-    equation or variable count, no variables for some equations and a modulus
-    below 2, Tseitin on a graph without vertices names the empty graph, and a
-    count that is not an ASCII integer is named; none of them writes a file."""
+    are a negative degree, an edge probability outside [0, 1], graph flags
+    that exclude each other, an empty graph name, a negative equation or
+    variable count, no variables for some equations and a modulus below 2,
+    Tseitin on a graph without vertices names the empty graph, and a count
+    that is not an ASCII integer is named; none of them writes a file."""
     g = tmp_path / "g.txt"
     code, _, err = run(["gen", "graph", "--n", "-2", "--out", str(g)], capsys)
     assert code == 2 and "negative vertex count -2" in err
@@ -166,7 +167,16 @@ def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
     # a bad degree, probability, count or modulus writes nothing
     for flags, message in ((["--n", "5", "--regular", "-2"], "d=-2"),
                            (["--n", "4", "--p", "7"], "p=7"),
-                           (["--n", "4", "--p", "-3"], "p=-3")):
+                           (["--n", "4", "--p", "-3"], "p=-3"),
+                           (["--n", "3", "--regular", "2", "--p", "9"],
+                            "--regular cannot be combined with --p"),
+                           (["--regular", "2", "--p", "0.5"],
+                            "--regular cannot be combined with --p"),
+                           (["--name", "k3", "--n", "9", "--regular", "4"],
+                            "--name cannot be combined with --n, --regular"),
+                           (["--name", "k3", "--p", "0.5"],
+                            "--name cannot be combined with --p"),
+                           (["--name", ""], "unknown graph name ''")):
         code, _, err = run(["gen", "graph", "--out", str(g)] + flags, capsys)
         assert code == 2 and message in err and not g.exists(), flags
     for flags, message in ((["--q", "2", "--vars", "3", "--eqs", "-1"], "neqs=-1"),
@@ -373,6 +383,7 @@ def test_bench_malformed_manifests(tmp_path, capsys):
 
 MANIFEST_ERROR = 'error: the manifest must be {"rows": [...]}'
 NO_FILE = "error: [Errno 2] No such file or directory: '<missing>'"
+K_ERROR = "error: k must be >= 1"
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -386,10 +397,15 @@ NO_FILE = "error: [Errno 2] No such file or directory: '<missing>'"
      "enclosed in double quotes: line 1 column 2 (char 1)"),
     (["bench", "--manifest", "<rows3>"], MANIFEST_ERROR),
     (["bench", "--manifest", "<list>"], MANIFEST_ERROR),
+    (["decide-csp", "<A>", "<A>", "--k", "0"], K_ERROR),
+    (["decide-csp", "<A>", "<A>", "--k", "-1"], K_ERROR),
+    (["decide-iso", "<A>", "<A>", "--k", "0"], K_ERROR),
+    (["decide-iso", "<A>", "<A>", "--k", "-1"], K_ERROR),
 ], ids=["decide-missing", "decide-bad-json", "decide-signature", "bench-missing",
-        "bench-bad-json", "bench-rows-3", "bench-bare-list"])
+        "bench-bad-json", "bench-rows-3", "bench-bare-list", "csp-k-0",
+        "csp-k-negative", "iso-k-0", "iso-k-negative"])
 def test_cli_error_is_one_line_and_exit_2(tmp_path, capsys, argv, expected):
-    """Load and manifest errors reach main's handler: exit 2, nothing on
+    """Load, manifest and k errors reach main's handler: exit 2, nothing on
     stdout and exactly one `error: ...` line on stderr, no traceback."""
     paths = {n: str(tmp_path / f"{n}.json")
              for n in ("A", "other", "bad", "rows3", "list", "missing")}

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -276,26 +277,35 @@ def _scope_cases(family, seed):
     return [classical_fixpoint(enumerate_sections(a, b, 3, "hom"))]
 
 
+def _empty_gcd(s_set):
+    """The gcd of the empty section's coordinate over s_set's kernel: the
+    empty section is Z-extendable in s_set iff it is 1."""
+    kernel = _Kernel()
+    kernel.build(s_set)
+    return math.gcd(*(empty for empty, _ in kernel.basis))
+
+
 @settings(max_examples=40, deadline=None)
 @given(family=st.sampled_from(("affine", "tseitin", "cfi")),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_scope_test_changes_no_sweep(family, seed):
     """A sweep returns the same with and without the scope test.  The scope's
     empty-section gcd divides the full kernel's, so the scope never rejects
-    when the full gcd is 1; the uncounted system shape is the built one's."""
+    when the full gcd is 1; the uncounted system shape is the built one's.
+    With `_scope` the identity, the half rule skips the scope."""
     for s in _scope_cases(family, seed):
         if s.is_empty():
             continue
         system = build_compatibility_system(s)
         assert cohomology._system_shape(s) == {"rows": len(system.rows),
                                                "cols": system.n_vars}
-        full = cohomology._empty_gcd(s)
-        scoped = cohomology._empty_gcd(cohomology._scope(s))
+        full = _empty_gcd(s)
+        scoped = _empty_gcd(cohomology._scope(s))
         assert full % scoped == 0 if scoped else full == 0
         if full == 1:
-            assert not cohomology._scope_rejects(s)
+            assert scoped == 1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cohomology, "_scope_rejects", lambda s_set: False)
+            mp.setattr(cohomology, "_scope", lambda s_set: s_set)
             unscoped = _zext_sweep(s, _Kernel())
         assert _zext_sweep(s, _Kernel()) == unscoped
 
