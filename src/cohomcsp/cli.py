@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     gg.add_argument("--p", type=float, help="edge probability (default 0.5)")
     gg.add_argument("--regular", type=int, default=None, metavar="D")
     gg.add_argument("--name", dest="graph_name", default=None,
-                    help="named base graph (k3, k4, k33, prism, cN, p3)")
+                    help="named base graph (k3, k4, k33, prism, cN with N >= 3, p3)")
     gg.add_argument("--seed", type=int, default=0)
     gg.add_argument("--out", default=None)
     gg.set_defaults(func=_cmd_gen)

@@ -9,14 +9,13 @@ codimension-1 inclusion and target section); pinning s turns membership into
 an integer feasibility problem.  Sections that are not Z-extendable cannot be
 part of any global section, so the decision procedure starts from the
 classical fixpoint, removes them, propagates the classical check from the
-removals in place, and iterates to a greatest fixpoint.  Each round's system
-is the last one's minus an upward-closed set of sections, so its kernel is
-cut down from the last one's, kept as its projections onto the maximal
-contexts.
-A compatible family restricts to one on any downward-closed set of contexts,
-so when the scope sub-presheaf (around the A-tuples) holds at most half the
-sections, the first round builds the same kernel on it before the full
-system, and rejects from there when the empty section fails.
+removals in place, and iterates to a greatest fixpoint.  Each round condenses
+every maximal context to the integer relations on its face sections, so it
+eliminates over the lower levels only, and tests each maximal section's face
+vector against the kernel's projection there.  A compatible family restricts
+to one on any downward-closed set of contexts, so when the scope sub-presheaf
+(around the A-tuples) holds at most half the sections, the first round
+condenses it first, and rejects from there when the empty section fails.
 
 Restrictions compose, so compatibility constraints are generated only for
 codimension-1 inclusions; agreement along those implies agreement for all
@@ -42,8 +41,9 @@ from .structures import Structure
 class CompatibilitySystem:
     """Sparse homogeneous linear system expressing global compatibility.
 
-    Variables are the stored sections.  Each row states that the combination
-    at a context restricts to the combination at a codimension-1 sub-context.
+    Variables are the stored sections, a block per context in sorted order.
+    Each row states that the combination at a context restricts to the
+    combination at a codimension-1 sub-context.
     """
 
     variables: list[tuple[Context, Section]]
@@ -100,91 +100,6 @@ def invert_section_set(s_set: SectionSet) -> SectionSet:
 
 # --- fixpoint machinery ------------------------------------------------------
 
-class _Kernel:
-    """An integer kernel basis of one direction's compatibility system, kept
-    across the sweeps of one fixpoint run, as each vector's projections.
-
-    A vector is kept as its empty-section coefficient and {i: projection},
-    the projection onto top[i]'s sections of each maximal context i it
-    touches, computed once when the system is eliminated.  The rows make a
-    lower section's coefficient the sum of its extensions' at any maximal
-    context above it, so these coordinates determine the vector.
-
-    Every set after the first is the previous one minus an upward-closed set
-    R of sections (the forth and downward closures keep it so), so its kernel
-    is exactly {x in old kernel : x_R = 0}: rows at removed sub-sections sum
-    removed variables only, and the other rows lose only vanishing terms.  A
-    removed lower section's extensions at a maximal context are all removed,
-    so x_R = 0 needs checking at removed maximal sections only.  Those keep
-    their positions in top, as coordinates that are zero in every vector.
-    """
-
-    basis: Optional[list[tuple[int, dict[int, tuple[int, ...]]]]] = None
-
-    def build(self, s_set: SectionSet) -> None:
-        system = build_compatibility_system(s_set)
-        empty = system.var_of[((), ())]
-        # the maximal contexts and each variable's (context, position) among them
-        self.top = [(c, sorted(s_set.sections[c])) for c in s_set.contexts()
-                    if len(c) == s_set.max_level() and s_set.sections[c]]
-        slot: list[Optional[tuple[int, int]]] = [None] * system.n_vars
-        for i, (c, secs) in enumerate(self.top):
-            for t, s in enumerate(secs):
-                slot[system.var_of[(c, s)]] = (i, t)
-        basis = SparseEchelon(system.n_vars, system.rows).kernel_basis()
-        del system  # later sweeps need only the projections
-        self.basis = []
-        for vec in basis:
-            touched: dict[int, list[int]] = {}
-            for v, x in vec.items():
-                at = slot[v]
-                if at is not None:
-                    i, t = at
-                    if i not in touched:
-                        touched[i] = [0] * len(self.top[i][1])
-                    touched[i][t] = x
-            self.basis.append((vec.get(empty, 0),
-                               {i: tuple(p) for i, p in touched.items()}))
-
-    def restrict(self, s_set: SectionSet) -> None:
-        """Cut the basis down to the kernel of s_set.
-
-        sum a_i b_i vanishes on R iff the coefficients of the basis vectors
-        touching R lie in the kernel of their restriction to R, so those
-        vectors are replaced by that small kernel's combinations of them
-        (Cohen 1993, section 2.4).  Only the maximal contexts that lost
-        sections are looked at; positions cut in an earlier sweep are zero
-        in every vector, so they add no rows.
-        """
-        cut: dict[int, list[int]] = {}  # context -> its removed positions
-        for i, (c, secs) in enumerate(self.top):
-            live = s_set.sections[c]
-            if len(live) < len(secs):
-                cut[i] = [t for t, s in enumerate(secs) if s not in live]
-        rows: dict[tuple[int, int], dict[int, int]] = {}
-        hits, kept = [], []
-        for vec in self.basis:
-            projs = vec[1]
-            at = [((i, t), projs[i][t]) for i in cut.keys() & projs.keys()
-                  for t in cut[i] if projs[i][t]]
-            for key, x in at:
-                rows.setdefault(key, {})[len(hits)] = x
-            (hits if at else kept).append(vec)
-        ech = SparseEchelon(len(hits), list(rows.values()))
-        for combo in ech.kernel_basis():
-            empty, acc = 0, {}
-            for j, q in combo.items():
-                empty += q * hits[j][0]
-                for i, p in hits[j][1].items():
-                    if i not in acc:
-                        acc[i] = [0] * len(p)
-                    row = acc[i]
-                    for t, x in enumerate(p):
-                        row[t] += q * x
-            kept.append((empty, {i: tuple(p) for i, p in acc.items() if any(p)}))
-        self.basis = kept
-
-
 def _system_shape(s_set: SectionSet) -> dict[str, int]:
     """Rows and columns of s_set's compatibility system, without building it:
     one row per stored section at each codimension-1 face of each context,
@@ -210,7 +125,67 @@ def _scope(s_set: SectionSet) -> SectionSet:
                       {d: s_set.sections[d] for d in faces})
 
 
-def _zext_sweep(s_set: SectionSet, kernel: _Kernel
+def _face_relations(n_faces: int, hits: tuple) -> Optional[SparseEchelon]:
+    """The echelon of one maximal context's face map ∂_C, transposed: a row
+    {face coordinate: 1} per section.  Its kernel spans the relations all
+    face vectors satisfy, which cut out the image of ∂_C if it is saturated,
+    as +-1 pivots prove (the pivot block is lower triangular); else None."""
+    ech = SparseEchelon(n_faces, [dict.fromkeys(hit, 1) for hit in hits])
+    return ech if all(abs(ech.cols[p][r]) == 1 for r, p in ech.pivot_order) else None
+
+
+def _condensed(s_set: SectionSet):
+    """The kernel of s_set's compatibility system condensed onto the sections
+    below the top level: each maximal context adds its `_face_relations` over
+    its face sections (without sections, they force those to 0), or if None
+    keeps its sections as columns, with its face rows.  Returns var_of, the
+    basis, and per maximal context holding sections (context, sections, face
+    variables, each section's face positions, rank ∂_C or the face count)."""
+    top = s_set.max_level()
+    system = build_compatibility_system(SectionSet(
+        s_set.a, s_set.b, s_set.k, s_set.kind,
+        {c: secs for c, secs in s_set.sections.items() if len(c) < top}))
+    rows, n_vars, var_of = system.rows, system.n_vars, system.var_of
+    start: dict[Context, int] = {}  # each context's first variable
+    for v, (d, _) in enumerate(system.variables):
+        start.setdefault(d, v)
+    relations: dict[tuple, Optional[SparseEchelon]] = {}  # by (n_faces, hits)
+    tops = []
+    for c in sorted(c for c in s_set.sections if len(c) == top):
+        subs = [c[:i] + c[i + 1:] for i in range(top)]
+        faces, offs = [], []
+        for sub in subs:
+            first = start.get(sub, 0)
+            offs.append(len(faces) - first)
+            faces.extend(range(first, first + len(s_set.sections[sub])))
+        secs = sorted(s_set.sections[c])
+        hits = tuple(tuple([offs[i] + var_of[subs[i], s[:i] + s[i + 1:]]
+                            for i in range(top)]) for s in secs)
+        if (len(faces), hits) not in relations:
+            relations[len(faces), hits] = _face_relations(len(faces), hits)
+        ech = relations[len(faces), hits]
+        if ech is None:
+            face_rows = [{v: -1} for v in faces]
+            for hit in hits:
+                for f in hit:
+                    face_rows[f][n_vars] = 1
+                n_vars += 1
+            rows.extend(face_rows)
+        else:
+            rows.extend({faces[f]: x for f, x in z.items()}
+                        for z in ech.kernel_basis())
+        if secs:
+            tops.append((c, secs, faces, hits,
+                         len(faces) if ech is None else len(ech.pivot_order)))
+    return var_of, SparseEchelon(n_vars, rows).kernel_basis(), tops
+
+
+def _empty_gcd(var_of: dict, basis: list[dict[int, int]]) -> int:
+    """The gcd of the empty section's kernel coordinates: 1 iff Z-extendable."""
+    return math.gcd(*(vec.get(var_of[((), ())], 0) for vec in basis))
+
+
+def _zext_sweep(s_set: SectionSet, first: bool
                 ) -> Optional[list[tuple[Context, Section]]]:
     """Find the stored sections that are not Z-extendable in s_set.
 
@@ -221,53 +196,46 @@ def _zext_sweep(s_set: SectionSet, kernel: _Kernel
     section inherits a witness from any surviving extension, and one whose
     extensions all fail is removed by the forth closure that follows.
 
-    The first sweep of a kernel builds it on the scope sub-presheaf first
-    (`_scope`), when that holds at most half the stored sections (beyond that
-    it costs most of a full elimination), and returns None without building
-    the full system when the empty section fails there.  This is sound: the
-    scope is downward closed, so each row of its system is a row of the full
-    system over the same variables, and a full kernel vector with empty
+    On the first sweep of a run, when the scope sub-presheaf (`_scope`) holds
+    at most half the stored sections, its condensed system comes first, and
+    the sweep returns None when the empty section fails there.  That is
+    sound: the scope is downward closed, so a full kernel vector with empty
     coordinate 1 restricts to a scope kernel vector with empty coordinate 1.
-    The benchmark's Tseitin instances keep 1-3 % of their sections in scope,
-    its CFI pairs 67-74 %.
 
-    A pin (C, s) is feasible iff the indicator of s lies in the projection of
-    the unpinned system's kernel onto the coordinates of S(C), so all pins at
-    one context share a lattice, and none needs a test once that lattice is
-    all of Z^|S(C)|.  The kernel is `kernel`'s, built on its first sweep and
-    restricted to s_set on each later one.  It holds each basis vector's
-    projections onto the maximal contexts (see `_Kernel`), so a sweep only
-    deduplicates them per context and feeds each context's lattice.
+    s at a maximal context C is Z-extendable iff its face vector ∂_C e_s
+    lies in the lattice of the kernel's projections onto C's face
+    coordinates: a kernel vector with those face values differs from e_s at
+    C by an element of ker ∂_C, which extends by zero.  That lattice lies in
+    the image of ∂_C, so once it has rank ∂_C unit pivots it is the image.
     """
-    if kernel.basis is None:
-        scope = _scope(s_set)
-        if 2 * scope.total() <= s_set.total():
-            kernel.build(scope)
-            if math.gcd(*(empty for empty, _ in kernel.basis)) != 1:
-                return None
-        kernel.build(s_set)
-    else:
-        kernel.restrict(s_set)
-    if math.gcd(*(empty for empty, _ in kernel.basis)) != 1:
+    if s_set.max_level() == 0:
+        return []  # the empty section is the only one, and nothing constrains it
+    if (first and 2 * (scope := _scope(s_set)).total() <= s_set.total()
+            and _empty_gcd(*_condensed(scope)[:2]) != 1):
         return None
-
-    # each context's distinct projections, in basis order
-    projections: list[dict[tuple[int, ...], None]] = [{} for _ in kernel.top]
-    for _, projs in kernel.basis:
-        for i, proj in projs.items():
-            projections[i][proj] = None
-
+    var_of, basis, tops = _condensed(s_set)
+    if _empty_gcd(var_of, basis) != 1:
+        return None
+    entries: dict[int, list[tuple[int, int]]] = {}  # variable -> (vector, value)
+    for j, vec in enumerate(basis):
+        for v, x in vec.items():
+            entries.setdefault(v, []).append((j, x))
     failures: list[tuple[Context, Section]] = []
-    for (c, secs), projs in zip(kernel.top, projections):
-        lat = IntLattice(len(secs))
-        for proj in projs:
+    for c, secs, faces, hits, rank in tops:
+        projections: dict[int, list[int]] = {}  # vector -> its face values
+        for f, v in enumerate(faces):
+            for j, x in entries.get(v, ()):
+                if j not in projections:
+                    projections[j] = [0] * len(faces)
+                projections[j][f] = x
+        lat = IntLattice(len(faces))
+        for proj in dict.fromkeys(tuple(projections[j]) for j in sorted(projections)):
             lat.add(proj)
-            if lat.is_full():
+            if lat.units == rank:
                 break
         else:
-            failures.extend((c, s) for t, s in enumerate(secs)
-                            if s in s_set.sections[c] and not lat.contains(
-                                [int(u == t) for u in range(len(secs))]))
+            failures.extend((c, s) for s, hit in zip(secs, hits) if not lat.contains(
+                [int(f in hit) for f in range(len(faces))]))
     return failures
 
 
@@ -283,13 +251,12 @@ def _run_cohom_fixpoint(t: SectionSet, removed_log: list[dict]) -> None:
     t's kind (forth for hom, bijective forth for isom) from the removals; its
     entry in removed_log splits the removals by cause.
     """
-    forward, backward = _Kernel(), _Kernel()
     iteration = 0
     while not t.is_empty():
         iteration += 1
-        failures = _zext_sweep(t, forward)
+        failures = _zext_sweep(t, iteration == 1)
         if failures is not None and t.kind == "isom":
-            back = _zext_sweep(invert_section_set(t), backward)
+            back = _zext_sweep(invert_section_set(t), iteration == 1)
             failures = None if back is None else set(failures).union(
                 _inverse(c, s) for c, s in back)
         if failures is None:  # the empty section fails, so all do

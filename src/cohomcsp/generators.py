@@ -64,6 +64,8 @@ def complete_graph(n: int) -> OrderedGraph:
 
 
 def cycle_graph(n: int) -> OrderedGraph:
+    if n < 3:
+        raise ValueError(f"cycle graph c{n} needs at least 3 vertices")
     return OrderedGraph.make(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -86,7 +88,7 @@ def named_graph(name: str) -> OrderedGraph:
                                      (0, 3), (1, 4), (2, 5)])
     if name == "p3":
         return path_graph(3)
-    if name.startswith("c") and name[1:].isdigit():
+    if name.startswith("c") and name[1:].isascii() and name[1:].isdigit():
         return cycle_graph(int(name[1:]))
     raise ValueError(f"unknown graph name {name!r}")
 

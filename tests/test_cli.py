@@ -156,7 +156,8 @@ def test_gen_tseitin_warns_on_width(tmp_path, capsys):
 def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
     """A negative vertex count is refused when written and when loaded, so
     are a negative degree, an edge probability outside [0, 1], graph flags
-    that exclude each other, an empty graph name, a negative equation or
+    that exclude each other, an empty graph name, a cycle name below 3
+    vertices or with a non-ASCII digit, a negative equation or
     variable count, no variables for some equations and a modulus below 2,
     Tseitin on a graph without vertices names the empty graph, and a count
     that is not an ASCII integer is named; none of them writes a file."""
@@ -176,7 +177,10 @@ def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
                             "--name cannot be combined with --n, --regular"),
                            (["--name", "k3", "--p", "0.5"],
                             "--name cannot be combined with --p"),
-                           (["--name", ""], "unknown graph name ''")):
+                           (["--name", ""], "unknown graph name ''"),
+                           (["--name", "c2"], "cycle graph c2 needs at least 3"),
+                           (["--name", "c0"], "cycle graph c0 needs at least 3"),
+                           (["--name", "c\u0663"], "unknown graph name 'c\u0663'")):
         code, _, err = run(["gen", "graph", "--out", str(g)] + flags, capsys)
         assert code == 2 and message in err and not g.exists(), flags
     for flags, message in ((["--q", "2", "--vars", "3", "--eqs", "-1"], "neqs=-1"),

@@ -1,18 +1,20 @@
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cohomcsp import (AffineSystem, CfiSpec, IntLattice, LocalSection,
-                      OrderedGraph, SparseEchelon, affine_to_instance,
-                      brute_force_hom, build_compatibility_system,
-                      cfi_structure, classical_fixpoint, enumerate_sections,
-                      flow_system, invert_section_set, is_partial_iso,
-                      random_instances, run_decision, tseitin_system,
-                      named_graph, wl_fixpoint, zero_twist)
+                      OrderedGraph, Signature, SparseEchelon, Structure,
+                      affine_to_instance, brute_force_hom,
+                      build_compatibility_system, cfi_structure,
+                      classical_fixpoint, enumerate_sections, flow_system,
+                      invert_section_set, is_partial_iso, random_instances,
+                      run_decision, tseitin_system, named_graph, wl_fixpoint,
+                      zero_twist)
 from cohomcsp import cohomology
-from cohomcsp.cohomology import _Kernel, _zext_sweep
+from cohomcsp.cohomology import _zext_sweep
 from conftest import (complete_structure, cycle_structure,
                       graph_structure, random_structure)
 from reference import (cohom_fixpoint, downward_close, inverse, pinned_system,
@@ -125,26 +127,76 @@ def test_tseitin_k4_sections_all_fail_zext():
         assert not z_extendable(s, c, sec)
 
 
+def _assert_sweep_matches_per_pin(s):
+    """The sweep of s fails exactly the maximal sections that are not
+    Z-extendable, all of them when it returns None."""
+    failures = _zext_sweep(s, True)
+    assert z_extendable(s, (), ()) == (failures is not None)
+    failed = set(failures or ())
+    top = s.max_level()
+    for c in s.contexts():
+        if len(c) != top:
+            continue
+        for sec in s.sections[c]:
+            assert z_extendable(s, c, sec) == (
+                failures is not None and (c, sec) not in failed), (c, sec)
+
+
 def test_sweep_matches_per_pin_zext(rng):
-    """The kernel-projection sweep equals per-pin checks at maximal contexts."""
+    """The face-lattice sweep equals per-pin checks at maximal contexts, on
+    hom sets at k=2 and 3 and on isomorphism sets at k=2 and 3 in both
+    directions.  Raw k=3 hom sets have maximal contexts without sections
+    above faces with sections, which the system must force to 0: K3 -> C5
+    has integer compatible families on its edges with empty coordinate 1,
+    but none on its one empty maximal context."""
     for _ in range(12):
         a = random_structure(rng, rng.randint(2, 3))
         b = random_structure(rng, rng.randint(2, 3))
-        s = classical_fixpoint(enumerate_sections(a, b, 2, "hom"))
-        if s.is_empty():
-            continue
-        failures = _zext_sweep(s, _Kernel())
-        if failures is None:
-            assert not z_extendable(s, (), ())
-            continue
-        assert z_extendable(s, (), ())
-        failed = set(failures)
-        top = s.max_level()
-        for c in s.contexts():
-            if len(c) != top:
-                continue
-            for sec in s.sections[c]:
-                assert z_extendable(s, c, sec) == ((c, sec) not in failed), (a, b, sec)
+        same = a if rng.random() < 0.5 else random_structure(rng, a.size)
+        raw = enumerate_sections(a, b, 3, "hom")
+        sets = [classical_fixpoint(enumerate_sections(a, b, 2, "hom")), raw,
+                classical_fixpoint(raw)]
+        for k in (2, 3):
+            s = wl_fixpoint(enumerate_sections(a, same, k, "isom"))
+            sets += [s, invert_section_set(s)]
+        for s in sets:
+            if not s.is_empty():
+                _assert_sweep_matches_per_pin(s)
+    _assert_sweep_matches_per_pin(
+        enumerate_sections(complete_structure(3), cycle_structure(5), 3, "hom"))
+
+
+# the 6-vertex real projective plane, by its triangles
+RP2 = (124, 126, 135, 136, 145, 234, 235, 256, 346, 456)
+
+
+def test_unsaturated_face_map_keeps_its_columns(monkeypatch):
+    """A = one ternary tuple, B = the flags (vertex, edge, triangle) of the
+    6-vertex RP^2 on its 6 + 15 + 10 cells.  At k=3 the face map of the one
+    maximal context (0, 1, 2) has Smith invariant 2 (H_1(RP^2) = Z/2), so
+    `_face_relations` refuses to condense it, and the sweep, on its kept
+    columns, still equals the per-pin checks."""
+    triangles = [tuple(int(d) - 1 for d in str(t)) for t in RP2]
+    edges = sorted({e for t in triangles for e in itertools.combinations(t, 2)})
+    cell = {e: 6 + i for i, e in enumerate(edges)}
+    cell.update((t, 21 + i) for i, t in enumerate(triangles))
+    flags = [(v, cell[e], cell[t]) for t in triangles for e in edges
+             if set(e) <= set(t) for v in e]
+    sig = Signature((("R", 3),))
+    a = Structure.make(sig, 3, {"R": [(0, 1, 2)]})
+    b = Structure.make(sig, 31, {"R": flags})
+    assert (len(edges), len(flags)) == (15, 60)
+    s = classical_fixpoint(enumerate_sections(a, b, 3, "hom"))
+    assert len(s.sections[(0, 1, 2)]) == 60
+    face_relations, results = cohomology._face_relations, []
+
+    def recorded(n_faces, hits):
+        results.append(face_relations(n_faces, hits))
+        return results[-1]
+
+    monkeypatch.setattr(cohomology, "_face_relations", recorded)
+    _assert_sweep_matches_per_pin(s)
+    assert results == [None]
 
 
 def _lattice_of(vectors, coords):
@@ -163,73 +215,21 @@ def _lattice_of(vectors, coords):
     return lat, dense
 
 
-def _top_coords(s_set):
-    """The empty section and the stored sections at maximal contexts, as
-    (context, section) pairs."""
-    return [((), ())] + [(c, sec) for c in s_set.contexts()
-                         if len(c) == s_set.max_level() for sec in sorted(s_set.sections[c])]
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(("hom", "isom")),
-       rounds=st.integers(1, 3))
-def test_restricted_kernel_equals_rebuilt_kernel(seed, kind, rounds):
-    """After an upward-closed removal the kept kernel, restricted, spans the
-    same lattice as the kernel of the rebuilt compatibility system, on the
-    coordinates of the empty section and the surviving maximal sections;
-    also after repeated removals.  This is as strong as comparing whole
-    vectors: the rows make every lower section's coefficient the sum of its
-    extensions' at a maximal context above it, so those coordinates
-    determine a kernel vector.  The kept kernel stores nothing else, and a
-    vector off them (a removed position that is not zero) raises KeyError."""
-    rng = random.Random(seed)
-    a = random_structure(rng, rng.randint(2, 3))
-    if kind == "isom":
-        b = a if rng.random() < 0.5 else random_structure(rng, a.size)
-    else:
-        b = random_structure(rng, rng.randint(2, 3))
-    fixpoint = wl_fixpoint if kind == "isom" else classical_fixpoint
-    s = fixpoint(enumerate_sections(a, b, 2, kind))
-    assume(not s.is_empty())
-    kernel = _Kernel()
-    kernel.build(s)
-    for _ in range(rounds):
-        stored = [(c, sec) for c in s.contexts() if c for sec in sorted(s.sections[c])]
-        if not stored:
-            break
-        s = remove_with_upset(s, rng.sample(stored, min(len(stored), rng.randint(1, 3))))
-        kernel.restrict(s)
-        system = build_compatibility_system(s)
-        rebuilt = SparseEchelon(system.n_vars, system.rows).kernel_basis()
-        coords = _top_coords(s)
-        kept_top = []
-        for empty, projs in kernel.basis:
-            vec = {((), ()): empty}
-            for i, proj in projs.items():
-                c, secs = kernel.top[i]
-                vec.update(((c, secs[t]), x) for t, x in enumerate(proj) if x)
-            kept_top.append({cs: x for cs, x in vec.items() if x})
-        at = set(coords)
-        kept, kept_vecs = _lattice_of(kept_top, coords)
-        new, new_vecs = _lattice_of(
-            [{system.variables[v]: x for v, x in vec.items()
-              if system.variables[v] in at} for vec in rebuilt], coords)
-        assert all(new.contains(v) for v in kept_vecs)
-        assert all(kept.contains(v) for v in new_vecs)
-
-
 def test_reused_kernel_sweeps_match_fresh_sweeps(monkeypatch):
-    """Every sweep of a fixpoint run, on its kept and restricted kernel, finds
-    the failures a sweep on a fresh kernel of the same set finds, and the
-    runs restrict in each direction."""
+    """Every sweep of a fixpoint run that takes two iterations, on the
+    condensed system, finds the failures the same sweep finds with every
+    maximal context kept as columns (`_face_relations` returning None), and
+    each direction sweeps again after the first iteration."""
     sweep = cohomology._zext_sweep
-    restricted = set()
+    later = []
 
-    def checked(s_set, kernel):
-        if kernel.basis is not None:
-            restricted.add(id(kernel))
-        failures = sweep(s_set, kernel)
-        assert failures == sweep(s_set, _Kernel())
+    def checked(s_set, first):
+        failures = sweep(s_set, first)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cohomology, "_face_relations", lambda n_faces, hits: None)
+            assert sweep(s_set, first) == failures
+        if not first:
+            later.append(s_set)
         return failures
 
     monkeypatch.setattr(cohomology, "_zext_sweep", checked)
@@ -243,10 +243,10 @@ def test_reused_kernel_sweeps_match_fresh_sweeps(monkeypatch):
         (cfi_structure(zero_twist(k3, 3)), cfi_structure(retwist), 2, "iso", 2),
     ]
     for a, b, k, problem, directions in cases:
-        restricted.clear()
+        later.clear()
         report = run_decision(a, b, k, "cohomological", problem)[-1]
         assert report.accepted and report.iterations == 2
-        assert len(restricted) == directions
+        assert len(later) == directions
 
 
 def _scope_cases(family, seed):
@@ -278,11 +278,10 @@ def _scope_cases(family, seed):
 
 
 def _empty_gcd(s_set):
-    """The gcd of the empty section's coordinate over s_set's kernel: the
-    empty section is Z-extendable in s_set iff it is 1."""
-    kernel = _Kernel()
-    kernel.build(s_set)
-    return math.gcd(*(empty for empty, _ in kernel.basis))
+    """The gcd of the empty section's coordinate over s_set's condensed
+    kernel: the empty section is Z-extendable in s_set iff it is 1."""
+    var_of, basis, _ = cohomology._condensed(s_set)
+    return math.gcd(*(vec.get(var_of[((), ())], 0) for vec in basis))
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,8 +305,8 @@ def test_scope_test_changes_no_sweep(family, seed):
             assert scoped == 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cohomology, "_scope", lambda s_set: s_set)
-            unscoped = _zext_sweep(s, _Kernel())
-        assert _zext_sweep(s, _Kernel()) == unscoped
+            unscoped = _zext_sweep(s, True)
+        assert _zext_sweep(s, True) == unscoped
 
 
 PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]

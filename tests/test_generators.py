@@ -327,7 +327,8 @@ def test_graph_text_round_trip():
 def test_graph_text_takes_only_ascii_integers():
     """int() would read the first four as 10 vertices, 4 vertices, edge
     (0, 3) and 4 vertices, and splitlines() or split() would read the last
-    four as edge (0, 1); each is refused, naming its token or line."""
+    four as edge (0, 1); each is refused, naming its token or line.  Graph
+    names are held to ASCII digits as well."""
     for text, token in (("1_0\n0 1\n", "1_0"), ("\uff14\n0 1\n", "\uff14"),
                         ("4\n0 \u0663\n", "\u0663"), ("+4\n", "+4"),
                         ("2\u20280 1\n", "2\u20280 1"), ("2\x1c0 1\n", "2\x1c0 1"),
@@ -336,6 +337,16 @@ def test_graph_text_takes_only_ascii_integers():
             graph_from_text(text)
     # CRLF line ends, tabs and runs of blanks still load
     assert graph_from_text("2\r\n0\t 1\r\n\r\n") == OrderedGraph.make(2, [(0, 1)])
+    # a cycle name takes only ASCII digits too, and a cycle has 3 vertices
+    # or more: c2 would be one edge, c0 the empty graph, c\u0663 a triangle
+    with pytest.raises(ValueError, match="unknown graph name 'c\u0663'"):
+        named_graph("c\u0663")
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match=f"cycle graph c{n} "):
+            named_graph(f"c{n}")
+        with pytest.raises(ValueError, match=f"cycle graph c{n} "):
+            cycle_graph(n)
+    assert named_graph("c3") == cycle_graph(3)
 
 
 def test_isolated_vertex_detected():
