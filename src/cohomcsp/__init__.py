@@ -10,9 +10,7 @@ from .presheaf import (Context, Section, SectionSet, all_contexts,
                        bij_forth_holds, classical_fixpoint, enumerate_sections,
                        forth_holds, wl_fixpoint)
 from .intlinalg import IntLattice, SparseEchelon
-from .cohomology import (CompatibilitySystem, DecisionReport,
-                         build_compatibility_system, invert_section_set,
-                         run_decision)
+from .cohomology import DecisionReport, invert_section_set, run_decision
 from .generators import (AffineSystem, CfiSpec, OrderedGraph,
                          affine_solvable_brute, affine_to_instance,
                          cfi_equations, cfi_structure, complete_graph,

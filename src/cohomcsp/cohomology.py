@@ -9,13 +9,15 @@ codimension-1 inclusion and target section); pinning s turns membership into
 an integer feasibility problem.  Sections that are not Z-extendable cannot be
 part of any global section, so the decision procedure starts from the
 classical fixpoint, removes them, propagates the classical check from the
-removals in place, and iterates to a greatest fixpoint.  Each round condenses
-every maximal context to the integer relations on its face sections, so it
-eliminates over the lower levels only, and tests each maximal section's face
-vector against the kernel's projection there.  A compatible family restricts
-to one on any downward-closed set of contexts, so when the scope sub-presheaf
-(around the A-tuples) holds at most half the sections, the first round
-condenses it first, and rejects from there when the empty section fails.
+removals in place, and iterates to a greatest fixpoint.  Each round builds
+one system in `_condensed`, the only writer of compatibility rows: it
+condenses every maximal context to the integer relations on its face
+sections, so it eliminates over the lower levels only, and tests each
+maximal section's face vector against the kernel's projection there.  A
+compatible family restricts to one on any downward-closed set of contexts, so
+when the scope sub-presheaf (around the A-tuples) holds at most half the
+sections, the first round condenses it first, and rejects from there when
+the empty section fails.
 
 Restrictions compose, so compatibility constraints are generated only for
 codimension-1 inclusions; agreement along those implies agreement for all
@@ -35,49 +37,6 @@ from .intlinalg import IntLattice, SparseEchelon
 from .presheaf import (Context, Section, SectionSet, _propagate,
                        classical_fixpoint, enumerate_sections, wl_fixpoint)
 from .structures import Structure
-
-
-@dataclass
-class CompatibilitySystem:
-    """Sparse homogeneous linear system expressing global compatibility.
-
-    Variables are the stored sections, a block per context in sorted order.
-    Each row states that the combination at a context restricts to the
-    combination at a codimension-1 sub-context.
-    """
-
-    variables: list[tuple[Context, Section]]
-    var_of: dict[tuple[Context, Section], int]
-    rows: list[dict[int, int]]
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.variables)
-
-
-def build_compatibility_system(s_set: SectionSet) -> CompatibilitySystem:
-    """Build the homogeneous compatibility system of s_set.
-
-    For every codimension-1 inclusion C' of C and every s' stored at C' there
-    is one equation: the coefficients of the sections at C restricting to s'
-    sum to the coefficient of s'.  Each section at C restricts to one s', so
-    every entry is +1 or -1.
-    """
-    variables = [(c, s) for c in s_set.contexts()
-                 for s in sorted(s_set.sections[c])]
-    var_of = {cs: i for i, cs in enumerate(variables)}
-    rows: list[dict[int, int]] = []
-    for c in s_set.contexts():
-        for i in range(len(c)):
-            sub = c[:i] + c[i + 1:]
-            groups: dict[Section, dict[int, int]] = {}
-            for s in s_set.sections[c]:
-                groups.setdefault(s[:i] + s[i + 1:], {})[var_of[(c, s)]] = 1
-            for sp in sorted(s_set.sections[sub]):
-                row = groups.get(sp, {})
-                row[var_of[(sub, sp)]] = -1
-                rows.append(row)
-    return CompatibilitySystem(variables, var_of, rows)
 
 
 def _inverse(c: Context, s: Section) -> tuple[Context, Section]:
@@ -136,23 +95,23 @@ def _face_relations(n_faces: int, hits: tuple) -> Optional[SparseEchelon]:
 
 def _condensed(s_set: SectionSet):
     """The kernel of s_set's compatibility system condensed onto the sections
-    below the top level: each maximal context adds its `_face_relations` over
-    its face sections (without sections, they force those to 0), or if None
-    keeps its sections as columns, with its face rows.  Returns var_of, the
-    basis, and per maximal context holding sections (context, sections, face
-    variables, each section's face positions, rank ∂_C or the face count)."""
+    below the top level.  One pass over the contexts finds each one's face
+    coordinates (the variable blocks of its codimension-1 faces) and each
+    section's face positions.  A maximal context adds its `_face_relations`
+    over its face sections (without sections, they force those to 0).  Every
+    other context, and a maximal one whose relations are None, numbers its
+    sections as columns and writes one row per face section: the columns
+    restricting to it sum to it.  Returns var_of, the basis, and per maximal
+    context holding sections (context, sections, face variables, each
+    section's face positions, rank ∂_C or the face count)."""
     top = s_set.max_level()
-    system = build_compatibility_system(SectionSet(
-        s_set.a, s_set.b, s_set.k, s_set.kind,
-        {c: secs for c, secs in s_set.sections.items() if len(c) < top}))
-    rows, n_vars, var_of = system.rows, system.n_vars, system.var_of
+    var_of: dict[tuple[Context, Section], int] = {}
     start: dict[Context, int] = {}  # each context's first variable
-    for v, (d, _) in enumerate(system.variables):
-        start.setdefault(d, v)
+    rows: list[dict[int, int]] = []
     relations: dict[tuple, Optional[SparseEchelon]] = {}  # by (n_faces, hits)
     tops = []
-    for c in sorted(c for c in s_set.sections if len(c) == top):
-        subs = [c[:i] + c[i + 1:] for i in range(top)]
+    for c in s_set.contexts():
+        subs = [c[:i] + c[i + 1:] for i in range(len(c))]
         faces, offs = [], []
         for sub in subs:
             first = start.get(sub, 0)
@@ -160,24 +119,27 @@ def _condensed(s_set: SectionSet):
             faces.extend(range(first, first + len(s_set.sections[sub])))
         secs = sorted(s_set.sections[c])
         hits = tuple(tuple([offs[i] + var_of[subs[i], s[:i] + s[i + 1:]]
-                            for i in range(top)]) for s in secs)
-        if (len(faces), hits) not in relations:
-            relations[len(faces), hits] = _face_relations(len(faces), hits)
-        ech = relations[len(faces), hits]
+                            for i in range(len(c))]) for s in secs)
+        ech = None
+        if len(c) == top:
+            if (len(faces), hits) not in relations:
+                relations[len(faces), hits] = _face_relations(len(faces), hits)
+            ech = relations[len(faces), hits]
+            if secs:
+                tops.append((c, secs, faces, hits,
+                             len(faces) if ech is None else len(ech.pivot_order)))
         if ech is None:
+            start[c] = len(var_of)
             face_rows = [{v: -1} for v in faces]
-            for hit in hits:
+            for s, hit in zip(secs, hits):
+                var_of[c, s] = col = len(var_of)
                 for f in hit:
-                    face_rows[f][n_vars] = 1
-                n_vars += 1
+                    face_rows[f][col] = 1
             rows.extend(face_rows)
         else:
             rows.extend({faces[f]: x for f, x in z.items()}
                         for z in ech.kernel_basis())
-        if secs:
-            tops.append((c, secs, faces, hits,
-                         len(faces) if ech is None else len(ech.pivot_order)))
-    return var_of, SparseEchelon(n_vars, rows).kernel_basis(), tops
+    return var_of, SparseEchelon(len(var_of), rows).kernel_basis(), tops
 
 
 def _empty_gcd(var_of: dict, basis: list[dict[int, int]]) -> int:

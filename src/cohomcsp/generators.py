@@ -132,7 +132,7 @@ def zero_twist(base: OrderedGraph, q: int, total: int = 0) -> CfiSpec:
     if not edges:
         raise ValueError("base graph has no edges")
     twist = {e: 0 for e in edges}
-    twist[edges[0]] = total % q
+    twist[edges[0]] = total % q if q else total  # CfiSpec refuses q = 0
     return CfiSpec(base, q, twist)
 
 

@@ -168,10 +168,6 @@ class IntLattice:
                     for t, x in old:
                         v[t] = x
 
-    def is_full(self) -> bool:
-        """True iff the lattice is all of Z^dim: a +-1 pivot at every coordinate."""
-        return self.units == self.dim
-
     def contains(self, vec: Sequence[int]) -> bool:
         v = list(vec)
         for j in range(self.dim):

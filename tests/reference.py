@@ -9,12 +9,13 @@ affine system over Z_q by integer feasibility through `SparseEchelon`, a
 second known-answer oracle next to `affine_solvable_brute`.  The
 pinned-section routines decide Z-extendability of one section at a time by
 its own pinned compatibility system, which is what the engine's kernel sweep
-must agree with: the engine's homogeneous system plus one unit row per
-section at the pinned context, with the pinned section's indicator as the
-right-hand side.  `restrict` cuts a validated `LocalSection` down to a
-sub-context by looking its elements up, where the engine drops one value per
-codimension-1 face, and `inverse` reads a partial isomorphism backwards
-without the engine's `_inverse`.  `remove_with_upset`, `downward_close` and
+must agree with: the uncondensed `compatibility_system`, written apart from
+the engine's, plus one unit row per section at the pinned context, with the
+pinned section's indicator as the right-hand side.  `restrict` cuts a
+validated `LocalSection` down to a sub-context by looking its elements up,
+where the engine drops one value per codimension-1 face, and `inverse`
+reads a partial isomorphism backwards without the engine's `_inverse`.
+`remove_with_upset`, `downward_close` and
 `same_sections` are the naive section-set operations the fixpoint tests
 replay, and `enumerate_sections_per_context` is enumeration
 with every context testing its own candidates, the check of the engine's
@@ -32,9 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from cohomcsp.cohomology import (CompatibilitySystem, _run_cohom_fixpoint,
-                                 build_compatibility_system,
-                                 invert_section_set)
+from cohomcsp.cohomology import _run_cohom_fixpoint, invert_section_set
 from cohomcsp.generators import AffineSystem
 from cohomcsp.intlinalg import SparseEchelon
 from cohomcsp.presheaf import (Context, Section, SectionSet,
@@ -318,37 +317,58 @@ class ZLinearSection:
         return dict(self.coefficients)
 
 
-def pinned_system(s_set: SectionSet, c: Context, s: Section
-                  ) -> tuple[CompatibilitySystem, dict[int, int]]:
-    """The compatibility system with one unit row per section at c, and its
-    right-hand side: the indicator of s on those rows (r_C = s exactly)."""
+def compatibility_system(s_set: SectionSet
+                         ) -> tuple[dict[tuple[Context, Section], int],
+                                    list[dict[int, int]]]:
+    """The uncondensed homogeneous compatibility system of s_set: var_of
+    numbers the stored sections, a block per context in sorted order, and
+    each codimension-1 inclusion C' of C and s' stored at C' give one row:
+    the coefficients of the sections at C restricting to s' sum to that of s'."""
+    var_of = {cs: i for i, cs in enumerate(
+        (c, s) for c in s_set.contexts() for s in sorted(s_set.sections[c]))}
+    rows: list[dict[int, int]] = []
+    for c in s_set.contexts():
+        for i in range(len(c)):
+            sub = c[:i] + c[i + 1:]
+            groups: dict[Section, dict[int, int]] = {}
+            for s in s_set.sections[c]:
+                groups.setdefault(s[:i] + s[i + 1:], {})[var_of[(c, s)]] = 1
+            for sp in sorted(s_set.sections[sub]):
+                rows.append({**groups.get(sp, {}), var_of[(sub, sp)]: -1})
+    return var_of, rows
+
+
+def pinned_system(s_set: SectionSet, c: Context, s: Section):
+    """`compatibility_system` with one unit row per section at c, and its
+    right-hand side: the indicator of s on those rows (r_C = s exactly).
+    Returns var_of, the rows and the right-hand side."""
     if s not in s_set.sections.get(c, ()):
         raise ValueError("pinned section is not stored in the section set")
-    system = build_compatibility_system(s_set)
+    var_of, rows = compatibility_system(s_set)
     rhs: dict[int, int] = {}
     for sib in sorted(s_set.sections[c]):
         if sib == s:
-            rhs[len(system.rows)] = 1
-        system.rows.append({system.var_of[(c, sib)]: 1})
-    return system, rhs
+            rhs[len(rows)] = 1
+        rows.append({var_of[(c, sib)]: 1})
+    return var_of, rows, rhs
 
 
 def z_extendable(s_set: SectionSet, c: Context, s: Section) -> bool:
     """True iff the compatibility system pinned at s has an integer solution."""
-    system, rhs = pinned_system(s_set, c, s)
-    return SparseEchelon(system.n_vars, system.rows).solve(rhs) is not None
+    var_of, rows, rhs = pinned_system(s_set, c, s)
+    return SparseEchelon(len(var_of), rows).solve(rhs) is not None
 
 
 def z_linear_witness(s_set: SectionSet, c: Context, s: Section
                      ) -> Optional[dict[Context, ZLinearSection]]:
     """A global Z-linear section pinning s, or None when s is not Z-extendable."""
-    system, rhs = pinned_system(s_set, c, s)
-    x = SparseEchelon(system.n_vars, system.rows).solve(rhs)
+    var_of, rows, rhs = pinned_system(s_set, c, s)
+    x = SparseEchelon(len(var_of), rows).solve(rhs)
     if x is None:
         return None
     per_ctx: dict[Context, dict[Section, int]] = {
         u: {} for u in s_set.contexts()}
-    for (u, sec), i in system.var_of.items():
+    for (u, sec), i in var_of.items():
         per_ctx[u][sec] = x[i]
     return {u: ZLinearSection(u, tuple(sorted(v.items())))
             for u, v in per_ctx.items()}

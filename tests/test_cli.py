@@ -158,8 +158,9 @@ def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
     are a negative degree, an edge probability outside [0, 1], graph flags
     that exclude each other, an empty graph name, a cycle name below 3
     vertices or with a non-ASCII digit, a negative equation or
-    variable count, no variables for some equations and a modulus below 2,
-    Tseitin on a graph without vertices names the empty graph, and a count
+    variable count, no variables for some equations and a modulus below 2
+    for affine and CFI pairs (without a traceback), Tseitin on a graph
+    without vertices names the empty graph, and a count
     that is not an ASCII integer is named; none of them writes a file."""
     g = tmp_path / "g.txt"
     code, _, err = run(["gen", "graph", "--n", "-2", "--out", str(g)], capsys)
@@ -190,6 +191,12 @@ def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
         code, _, err = run(["gen", "affine", "--seed", "1",
                             "--out-prefix", str(tmp_path / "af")] + flags, capsys)
         assert code == 2 and message in err, flags
+    g.write_text("3\n0 1\n1 2\n0 2\n")
+    for q in ("0", "1"):
+        code, _, err = run(["gen", "cfi", "--graph", str(g), "--q", q,
+                            "--out-prefix", str(tmp_path / "cfi")], capsys)
+        assert code == 2 and "error: modulus must be at least 2" in err, q
+        assert "Traceback" not in err, q
     for text, message in (("-3\n", "negative vertex count -3"),
                           ("0\n", "base graph has no vertices"),
                           ("1_0\n0 1\n", "'1_0'")):

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohomcsp import (AffineSystem, CfiSpec, IntLattice, LocalSection,
                       OrderedGraph, Signature, SparseEchelon, Structure,
-                      affine_to_instance, brute_force_hom,
-                      build_compatibility_system, cfi_structure,
+                      affine_to_instance, brute_force_hom, cfi_structure,
                       classical_fixpoint, enumerate_sections, flow_system,
                       invert_section_set, is_partial_iso, random_instances,
                       run_decision, tseitin_system, named_graph, wl_fixpoint,
@@ -17,9 +16,10 @@ from cohomcsp import cohomology
 from cohomcsp.cohomology import _zext_sweep
 from conftest import (complete_structure, cycle_structure,
                       graph_structure, random_structure)
-from reference import (cohom_fixpoint, downward_close, inverse, pinned_system,
-                       remove_with_upset, restrict, same_sections,
-                       z_bi_extendable, z_extendable, z_linear_witness)
+from reference import (cohom_fixpoint, compatibility_system, downward_close,
+                       inverse, pinned_system, remove_with_upset, restrict,
+                       same_sections, z_bi_extendable, z_extendable,
+                       z_linear_witness)
 
 
 def _witness_is_global_section(s_set, witness, pinned):
@@ -49,11 +49,11 @@ def test_compat_system_single_context_pins_empty_section():
     b = graph_structure(2, [])
     s = enumerate_sections(a, b, 1, "hom")
     pin = (1,)
-    system = build_compatibility_system(s)
+    var_of, rows = compatibility_system(s)
     # variables: the empty section and both sections at (0,); one row ties
     # the two singletons to the empty section
-    assert system.n_vars == 3
-    assert len(system.rows) == 1
+    assert len(var_of) == 3
+    assert len(rows) == 1
     witness = z_linear_witness(s, (0,), pin)
     assert witness is not None
     assert witness[()].as_dict()[()] == 1
@@ -65,21 +65,21 @@ def test_compat_system_dimension_formulas():
     a = cycle_structure(6)
     b = complete_structure(2)
     s = enumerate_sections(a, b, 3, "hom")
-    system = build_compatibility_system(s)
+    var_of, rows = compatibility_system(s)
     n_vars = sum(len(s.sections[c]) for c in s.contexts())
     n_rows = 0
     for c in s.contexts():
         for i in range(len(c)):
             sub = c[:i] + c[i + 1:]
             n_rows += len(s.sections[sub])
-    assert system.n_vars == n_vars
-    assert len(system.rows) == n_rows
+    assert len(var_of) == n_vars
+    assert len(rows) == n_rows
     # the reference pin adds one unit row per section at the pinned context
     pin_ctx = (0,)
     pin = sorted(s.sections[pin_ctx])[0]
-    pinned, rhs = pinned_system(s, pin_ctx, pin)
-    assert pinned.n_vars == n_vars
-    assert len(pinned.rows) == n_rows + len(s.sections[pin_ctx])
+    pinned_var_of, pinned_rows, rhs = pinned_system(s, pin_ctx, pin)
+    assert len(pinned_var_of) == n_vars
+    assert len(pinned_rows) == n_rows + len(s.sections[pin_ctx])
     assert rhs == {n_rows: 1}
     with pytest.raises(ValueError):
         pinned_system(s, pin_ctx, (2,))  # B has no element 2
@@ -142,28 +142,44 @@ def _assert_sweep_matches_per_pin(s):
                 failures is not None and (c, sec) not in failed), (c, sec)
 
 
-def test_sweep_matches_per_pin_zext(rng):
+def _assert_columns_follow_the_reference_rows(s):
+    """With every context kept as columns (`_face_relations` returning None),
+    `_condensed` numbers the sections and writes the rows as the reference
+    builder does: the same var_of and the same kernel basis."""
+    var_of, rows = compatibility_system(s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohomology, "_face_relations", lambda n_faces, hits: None)
+        condensed_var_of, basis, _ = cohomology._condensed(s)
+    assert condensed_var_of == var_of
+    assert basis == SparseEchelon(len(var_of), rows).kernel_basis()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_matches_per_pin_zext(seed):
     """The face-lattice sweep equals per-pin checks at maximal contexts, on
     hom sets at k=2 and 3 and on isomorphism sets at k=2 and 3 in both
-    directions.  Raw k=3 hom sets have maximal contexts without sections
-    above faces with sections, which the system must force to 0: K3 -> C5
-    has integer compatible families on its edges with empty coordinate 1,
-    but none on its one empty maximal context."""
-    for _ in range(12):
-        a = random_structure(rng, rng.randint(2, 3))
-        b = random_structure(rng, rng.randint(2, 3))
-        same = a if rng.random() < 0.5 else random_structure(rng, a.size)
-        raw = enumerate_sections(a, b, 3, "hom")
-        sets = [classical_fixpoint(enumerate_sections(a, b, 2, "hom")), raw,
-                classical_fixpoint(raw)]
-        for k in (2, 3):
-            s = wl_fixpoint(enumerate_sections(a, same, k, "isom"))
-            sets += [s, invert_section_set(s)]
-        for s in sets:
-            if not s.is_empty():
-                _assert_sweep_matches_per_pin(s)
-    _assert_sweep_matches_per_pin(
-        enumerate_sections(complete_structure(3), cycle_structure(5), 3, "hom"))
+    directions, and its rows, uncondensed, are the reference builder's.  Raw
+    k=3 hom sets have maximal contexts without sections above faces with
+    sections, which the system must force to 0: K3 -> C5 has integer
+    compatible families on its edges with empty coordinate 1, but none on
+    its one empty maximal context."""
+    rng = random.Random(seed)
+    a = random_structure(rng, rng.randint(2, 3))
+    b = random_structure(rng, rng.randint(2, 3))
+    same = a if rng.random() < 0.5 else random_structure(rng, a.size)
+    raw = enumerate_sections(a, b, 3, "hom")
+    sets = [classical_fixpoint(enumerate_sections(a, b, 2, "hom")), raw,
+            classical_fixpoint(raw)]
+    for k in (2, 3):
+        s = wl_fixpoint(enumerate_sections(a, same, k, "isom"))
+        sets += [s, invert_section_set(s)]
+    sets.append(enumerate_sections(complete_structure(3), cycle_structure(5),
+                                   3, "hom"))
+    for s in sets:
+        if not s.is_empty():
+            _assert_sweep_matches_per_pin(s)
+            _assert_columns_follow_the_reference_rows(s)
 
 
 # the 6-vertex real projective plane, by its triangles
@@ -295,9 +311,9 @@ def test_scope_test_changes_no_sweep(family, seed):
     for s in _scope_cases(family, seed):
         if s.is_empty():
             continue
-        system = build_compatibility_system(s)
-        assert cohomology._system_shape(s) == {"rows": len(system.rows),
-                                               "cols": system.n_vars}
+        var_of, rows = compatibility_system(s)
+        assert cohomology._system_shape(s) == {"rows": len(rows),
+                                               "cols": len(var_of)}
         full = _empty_gcd(s)
         scoped = _empty_gcd(cohomology._scope(s))
         assert full % scoped == 0 if scoped else full == 0
@@ -319,7 +335,7 @@ def test_odd_tseitin_rejects_on_its_scope(monkeypatch):
     system's columns, and max_system is still the full system's shape."""
     a, b = affine_to_instance(tseitin_system(OrderedGraph.make(10, PETERSEN),
                                              {0: 1}))
-    full = build_compatibility_system(
+    var_of, rows = compatibility_system(
         classical_fixpoint(enumerate_sections(a, b, 3, "hom")))
     widths = []
 
@@ -331,8 +347,8 @@ def test_odd_tseitin_rejects_on_its_scope(monkeypatch):
     monkeypatch.setattr(cohomology, "SparseEchelon", Recorded)
     report = run_decision(a, b, 3, "cohomological", "csp")[-1]
     assert report.verdict == "reject"
-    assert widths and all(10 * w < full.n_vars for w in widths), widths
-    assert report.max_system == {"rows": len(full.rows), "cols": full.n_vars}
+    assert widths and all(10 * w < len(var_of) for w in widths), widths
+    assert report.max_system == {"rows": len(rows), "cols": len(var_of)}
 
 
 def test_kernel_basis_fill_on_tseitin():
@@ -345,14 +361,14 @@ def test_kernel_basis_fill_on_tseitin():
     elimination."""
     graph = next(random_instances(1, "regular", n=12, d=3))
     a, b = affine_to_instance(tseitin_system(graph, {}))
-    system = build_compatibility_system(
+    var_of, rows = compatibility_system(
         classical_fixpoint(enumerate_sections(a, b, 3, "hom")))
-    n = system.n_vars
-    basis = SparseEchelon(n, system.rows).kernel_basis()
+    n = len(var_of)
+    basis = SparseEchelon(n, rows).kernel_basis()
     assert len(basis) == 940
     assert sum(map(len, basis)) < 50_000
     entries = [[] for _ in range(n)]  # column -> (row, value)
-    for r, row in enumerate(system.rows):
+    for r, row in enumerate(rows):
         for c, x in row.items():
             entries[c].append((r, x))
     for vec in basis:
@@ -362,7 +378,7 @@ def test_kernel_basis_fill_on_tseitin():
                 image[r] = image.get(r, 0) + x * y
         assert not any(image.values())
     flipped = SparseEchelon(n, [{n - 1 - c: x for c, x in row.items()}
-                                for row in system.rows]).kernel_basis()
+                                for row in rows]).kernel_basis()
     coords = list(range(n))
     ours, ours_vecs = _lattice_of(basis, coords)
     ref, ref_vecs = _lattice_of(
@@ -395,9 +411,9 @@ def test_inverted_system_has_the_same_shape(seed, k):
     b = a if rng.random() < 0.5 else random_structure(rng, a.size)
     raw = enumerate_sections(a, b, k, "isom")
     for s in (raw, wl_fixpoint(raw)):
-        system = build_compatibility_system(s)
-        inverse = build_compatibility_system(invert_section_set(s))
-        assert (len(inverse.rows), inverse.n_vars) == (len(system.rows), system.n_vars)
+        var_of, rows = compatibility_system(s)
+        inv_var_of, inv_rows = compatibility_system(invert_section_set(s))
+        assert (len(inv_rows), len(inv_var_of)) == (len(rows), len(var_of))
 
 
 def test_z_bi_extendable_basics():

@@ -161,7 +161,8 @@ def test_int_lattice_gcd_combination():
 
 
 def test_int_lattice_is_full_iff_units_contained():
-    """is_full() holds exactly when every unit vector lies in the lattice."""
+    """units == dim (a +-1 pivot at every coordinate) holds exactly when
+    every unit vector lies in the lattice."""
     rng = random.Random(31)
     cases = [(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]),  # rank-deficient
              (1, [[2], [-4]]),                        # 2Z
@@ -179,9 +180,9 @@ def test_int_lattice_is_full_iff_units_contained():
             lat.add(g)
         units = all(lat.contains([int(i == j) for i in range(dim)])
                     for j in range(dim))
-        assert lat.is_full() == units, (dim, gens)
+        assert (lat.units == dim) == units, (dim, gens)
         full += units
-    assert [IntLattice(d).is_full() for d in (0, 1)] == [True, False]
+    assert [IntLattice(d).units == d for d in (0, 1)] == [True, False]
     assert 0 < full < len(cases)
 
 
@@ -231,8 +232,9 @@ def _projected_kernel(rng: random.Random, dim: int, coeffs) -> list[list[int]]:
 def test_sparse_lattice_matches_dense_reference(seed, dim, coeffs):
     """At the sweep's dimensions (1-64), with non-unit coefficients that send
     adds through Euclid's remainder steps, the sparse lattice keeps the
-    dense reference's echelon after every add, and is_full() and contains()
-    agree on every unit vector and on random vectors."""
+    dense reference's echelon after every add, it is full (units == dim)
+    when the reference is, and contains() agrees on every unit vector and on
+    random vectors."""
     rng = random.Random(seed)
     gens = _projected_kernel(rng, dim, coeffs)
     sparse, dense = IntLattice(dim), DenseIntLattice(dim)
@@ -242,7 +244,7 @@ def test_sparse_lattice_matches_dense_reference(seed, dim, coeffs):
         dense.add(g)
         assert sparse.rows == {j: [(t, x) for t, x in enumerate(row) if x]
                                for j, row in dense.rows.items()}
-        assert sparse.is_full() == dense.is_full()
+        assert (sparse.units == dim) == dense.is_full()
         ys = [rng.randint(-2, 2) for _ in range(i + 1)]
         member = [sum(y * h[t] for y, h in zip(ys, gens)) for t in range(dim)]
         noise = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim)]
