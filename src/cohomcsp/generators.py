@@ -259,7 +259,8 @@ def flow_system(graph: OrderedGraph, q: int,
             e = tuple(sorted((v, u)))
             idx.append(edge_index[e])
             coeffs.append(1 if e[1] == v else q - 1)
-        eqs.append((tuple(coeffs), tuple(idx), charge.get(v, 0) % q))
+        eqs.append((tuple(coeffs), tuple(idx),
+                    charge.get(v, 0) % q if q else 0))  # AffineSystem refuses q = 0
     return AffineSystem(q, len(edges), tuple(eqs))
 
 
@@ -405,40 +406,38 @@ def phi_interpretation(cfi: Structure, q: int) -> tuple[Structure, Structure]:
 
     eqs: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
 
-    def emit(coeffs: tuple[int, ...], const: int, tup: tuple[int, ...]) -> None:
-        eqs.append((coeffs, tup, const))
-
     # identify w/z across mates within the same neighbouring gadget
     for (a, b) in pairs:
         gb = gadget_of[b]
         for b2 in members[gb]:
             if b2 > b:
-                emit((1, -1), 0, (w_of[(a, b)], w_of[(a, b2)]))
-                emit((1, -1), 0, (z_of[(a, b)], z_of[(a, b2)]))
+                eqs.append(((1, -1), (w_of[(a, b)], w_of[(a, b2)]), 0))
+                eqs.append(((1, -1), (z_of[(a, b)], z_of[(a, b2)]), 0))
     # same-value and cycle equations
     for (a1, a2, c) in cfi.relations["RI"]:
         if a1 != a2:
-            emit((1, -1), 0, (w_of[(a1, c)], w_of[(a2, c)]))
+            eqs.append(((1, -1), (w_of[(a1, c)], w_of[(a2, c)]), 0))
     for (a1, a2, c) in cfi.relations["RC"]:
         if a1 != a2:
-            emit((1, -1), 1, (w_of[(a1, c)], w_of[(a2, c)]))
+            eqs.append(((1, -1), (w_of[(a1, c)], w_of[(a2, c)]), 1))
     # edge equations
     for c in range(q):
         for (a, b) in cfi.relations[f"RE{c}"]:
-            emit((1, 1), c, (w_of[(a, b)], w_of[(b, a)]))
+            eqs.append(((1, 1), (w_of[(a, b)], w_of[(b, a)]), c))
     # running totals along the neighbour-gadget order
     for a in range(cfi.size):
         nbr_gadgets = sorted({gadget_of[b] for (x, b) in pairs if x == a})
         if not nbr_gadgets:
             continue
         for b in members[nbr_gadgets[0]]:
-            emit((1, -1), 0, (w_of[(a, b)], z_of[(a, b)]))
+            eqs.append(((1, -1), (w_of[(a, b)], z_of[(a, b)]), 0))
         for prev_g, cur_g in zip(nbr_gadgets, nbr_gadgets[1:]):
             for bp in members[prev_g]:
                 for b in members[cur_g]:
-                    emit((1, 1, -1), 0, (z_of[(a, bp)], w_of[(a, b)], z_of[(a, b)]))
+                    eqs.append(((1, 1, -1),
+                                (z_of[(a, bp)], w_of[(a, b)], z_of[(a, b)]), 0))
         for b in members[nbr_gadgets[-1]]:
-            emit((1,), 0, (z_of[(a, b)],))
+            eqs.append(((1,), (z_of[(a, b)],), 0))
     return affine_to_instance(AffineSystem(q, universe, tuple(eqs)))
 
 
@@ -449,10 +448,10 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
     """Deterministic stream of random instances of the given family.
 
     Families: "affine" (AffineSystem over Z_q, 2 or 3 variables per
-    equation), "gnp" (Erdos-Renyi ordered graph), "regular" (d-regular via
-    the pairing model with rejection), and "twist" (random edge twist for a
-    given graph and modulus).  q < 2, neqs < 0, nvars < 0 (or 0 with
-    equations), p outside [0, 1] and d < 0 raise before any draw.
+    equation), "gnp" (Erdos-Renyi ordered graph) and "regular" (d-regular
+    via the pairing model with rejection).  q < 2, neqs < 0, nvars < 0 (or 0
+    with equations), p outside [0, 1], and d < 0, d >= n or n*d odd raise
+    before any draw.
     """
     rng = random.Random(seed)
     steps = itertools.count() if count is None else range(count)
@@ -493,12 +492,6 @@ def random_instances(seed: int, family: str, count: Optional[int] = None,
             raise ValueError(f"d-regular needs 0 <= d < n={n} and n*d even, got d={d}")
         for _ in steps:
             yield _random_regular(rng, n, d)
-    elif family == "twist":
-        base: OrderedGraph = params["graph"]
-        q = params["q"]
-        for _ in steps:
-            yield CfiSpec(base, q,
-                          {e: rng.randrange(q) for e in base.edge_list()})
     else:
         raise ValueError(f"unknown family {family!r}")
 

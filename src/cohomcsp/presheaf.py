@@ -13,14 +13,14 @@ section at C[:-1] by one value for C[-1] that maps the A-tuples through C[-1]
 into B; for a partial isomorphism the value is new and the B-tuples through
 it inside the image are exactly as many, counted by element set, so the cost
 does not grow with declared arities.  Contexts whose last element has the
-same atomic type share the extensions of a prefix.  The classical algorithms
-repeatedly remove sections that fail the forth (resp. bijective-forth)
-extension property, together with everything extending them, until the set
-is stable.  `_propagate` does this in place from given removals, checking
-again only the restrictions of removed sections; the cohomological run starts
-it from the sections that are not Z-extendable.  Acceptance means the
-fixpoint is non-empty, which by the conventions here is equivalent to the
-empty section surviving.
+same atomic type share the extensions of a prefix.  Forth and bijective forth
+read a section's cofaces C + a, a in A, through one probe.  The classical
+algorithms repeatedly remove the sections failing the check, with everything
+extending them (downward closure), until the set is stable.  `_propagate`,
+the one place that removes sections, does this in place from given removals;
+the cohomological run starts it from the sections that are not Z-extendable.
+Acceptance means the fixpoint is non-empty, which by the conventions here is
+equivalent to the empty section surviving.
 
 Note on the parameter k: it is the pebble count / maximum context size.  The
 algorithm called k-Weisfeiler-Leman here corresponds to what much of the
@@ -30,7 +30,6 @@ literature calls (k-1)-WL.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import Counter
 from typing import Collection, Optional
 
@@ -151,66 +150,46 @@ def enumerate_sections(a: Structure, b: Structure, k: int, kind: str) -> Section
     return out
 
 
-def forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
-    """Forth property: every element of A extends s by some value within the set.
-
-    Only defined for sections with |c| < k, and s must be stored at c.  For
-    elements already in c the only admissible extension is the section itself.
-    """
+def _cofaces(s_set: SectionSet, c: Context, s: Section):
+    """For s stored at c, |c| < k, and each element a of A in turn: (None,
+    None, None) when a is in c, else the sections stored at c + a and s split
+    where a goes, as (stored, head, tail); s extends at a to head + (v,) + tail."""
     if len(c) >= s_set.k:
         raise ValueError("forth is only defined for sections below size k")
+    pos, head, tail = 0, (), s  # pos counts the elements of c below a
     for a in range(s_set.a.size):
-        pos = bisect_left(c, a)
         if pos < len(c) and c[pos] == a:
-            continue
-        stored = s_set.sections[c[:pos] + (a,) + c[pos:]]
-        head, tail = s[:pos], s[pos:]
-        if not any(head + (bv,) + tail in stored for bv in range(s_set.b.size)):
+            pos += 1
+            head, tail = s[:pos], s[pos:]
+            yield None, None, None
+        else:
+            yield s_set.sections[c[:pos] + (a,) + c[pos:]], head, tail
+
+
+def forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
+    """Forth property: every element of A outside c extends s by some value
+    within the set.  Only defined for a section s stored at c with |c| < k."""
+    values = range(s_set.b.size)
+    for stored, head, tail in _cofaces(s_set, c, s):
+        if stored is not None and not any(head + (v,) + tail in stored
+                                          for v in values):
             return False
     return True
 
 
 def bij_forth_holds(s_set: SectionSet, c: Context, s: Section) -> bool:
-    """Bijective forth: one bijection A -> B must extend s pointwise within the set.
-
-    Holds iff the bipartite graph of admissible pairs has a perfect matching.
-    s must be stored at c: an element of c then admits only its own value, and
-    no extension repeating a value of s is stored (it is not injective).
-    """
-    if len(c) >= s_set.k:
-        raise ValueError("bijective forth is only defined for sections below size k")
+    """Bijective forth: one bijection A -> B extends s pointwise within the set,
+    i.e. the bipartite graph of admissible pairs has a perfect matching.  s is
+    stored at c, |c| < k: an element of c admits only its own value, and no
+    stored extension repeats a value of s (it would not be injective)."""
     n = s_set.a.size
     if n != s_set.b.size:
         raise ValueError("bijective forth requires equal universe sizes")
-    adj: list[list[int]] = []
-    for a in range(n):
-        pos = bisect_left(c, a)
-        if pos < len(c) and c[pos] == a:
-            adj.append([s[pos]])
-            continue
-        stored = s_set.sections[c[:pos] + (a,) + c[pos:]]
-        head, tail = s[:pos], s[pos:]
-        adj.append([bv for bv in range(n) if head + (bv,) + tail in stored])
+    own = iter(s)  # the values of the elements of c, met in context order
+    adj = [[next(own)] if stored is None else
+           [v for v in range(n) if head + (v,) + tail in stored]
+           for stored, head, tail in _cofaces(s_set, c, s)]
     return has_perfect_matching(n, adj)
-
-
-def _downward_close_inplace(s_set: SectionSet, above: int = 0
-                            ) -> list[tuple[Context, Section]]:
-    """Keep only sections all of whose restrictions are present; ascending
-    pass.  Contexts of size `above` or smaller are skipped: they keep all
-    their restrictions when no section smaller than `above` was removed."""
-    removed = []
-    for c in s_set.contexts():
-        if len(c) <= above:
-            continue
-        subs = [s_set.sections[c[:i] + c[i + 1:]] for i in range(len(c))]
-        secs = s_set.sections[c]
-        doomed = [s for s in secs
-                  if any(s[:i] + s[i + 1:] not in sub for i, sub in enumerate(subs))]
-        for s in doomed:
-            secs.discard(s)
-            removed.append((c, s))
-    return removed
 
 
 def _propagate(s_set: SectionSet, failures: Collection[tuple[Context, Section]],
@@ -220,17 +199,29 @@ def _propagate(s_set: SectionSet, failures: Collection[tuple[Context, Section]],
     kind (forth for hom, bijective forth for isom) until none fails: the
     greatest sub-presheaf without the failures that is closed under the check,
     when s_set was downward closed and every other section below k passed the
-    check before the call.
+    check before the call.  No other function removes sections.
 
-    Only the restrictions of removed sections can start failing, so only they
-    are checked again.  Each round appends its {"forth", "closure"} removals
-    to log; the first round's "forth" counts the given failures.
+    Closure is one ascending scan dropping each section with a face
+    restriction not stored, past the contexts no larger than the smallest
+    removal (they keep theirs).  Only restrictions of removed sections can
+    start failing, so only they are checked again.  Each round logs its
+    {"forth", "closure"} removals; the first "forth" counts `failures`.
     """
     check = bij_forth_holds if s_set.kind == "isom" else forth_holds
     while failures:
         for c, s in failures:
             s_set.sections[c].discard(s)
-        closed = _downward_close_inplace(s_set, min(len(c) for c, _ in failures))
+        above, closed = min(len(c) for c, _ in failures), []
+        for c in s_set.contexts():
+            if len(c) <= above:
+                continue
+            subs = [s_set.sections[c[:i] + c[i + 1:]] for i in range(len(c))]
+            secs = s_set.sections[c]
+            doomed = [s for s in secs
+                      if any(s[:i] + s[i + 1:] not in sub for i, sub in enumerate(subs))]
+            for s in doomed:
+                secs.discard(s)
+                closed.append((c, s))
         log.append({"forth": len(failures), "closure": len(closed)})
         if () not in s_set.sections[()]:  # the closure removed everything
             break

@@ -134,20 +134,12 @@ def is_partial_hom(s: LocalSection, a: Structure, b: Structure) -> bool:
 
 
 def is_partial_iso(s: LocalSection, a: Structure, b: Structure) -> bool:
-    """True iff s is an injective partial hom that also reflects tuples from its image."""
-    if len(set(s.values)) != len(s.values):
+    """True iff s is injective and both s and its inverse B -> A are partial homs."""
+    if len(set(s.values)) != len(s.values) or not is_partial_hom(s, a, b):
         return False
-    if not is_partial_hom(s, a, b):
-        return False
-    img = set(s.values)
-    inv = {v: d for d, v in zip(s.domain, s.values)}
-    for name, _ in b.signature.symbols:
-        a_rel = a.relations[name]
-        for t in b.relations[name]:
-            if all(e in img for e in t):
-                if tuple(inv[e] for e in t) not in a_rel:
-                    return False
-    return True
+    back = dict(zip(s.values, s.domain))
+    image = tuple(sorted(back))
+    return is_partial_hom(LocalSection(image, tuple(map(back.get, image))), b, a)
 
 
 class SearchResult(NamedTuple):

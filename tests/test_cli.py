@@ -151,6 +151,11 @@ def test_gen_tseitin_warns_on_width(tmp_path, capsys):
     code, _, err = run(["gen", "tseitin", "--graph", str(g), "--odd", "--k", "1",
                         "--out-prefix", str(tmp_path / "ts")], capsys)
     assert code == 0 and "width" in err
+    # without --k, a base that is not 3-regular is warned about, not refused
+    code, _, err = run(["gen", "tseitin", "--graph", str(g),
+                        "--out-prefix", str(tmp_path / "ts")], capsys)
+    assert (code, err) == (0, "warning: base graph is not 3-regular; "
+                              "equation width is 2\n")
 
 
 def test_gen_refuses_negative_and_empty_graphs(tmp_path, capsys):
@@ -340,6 +345,22 @@ def test_bench_rows_refuse_coercion(tmp_path, capsys):
     assert got[-1]["verdict"] == "accept" and got[-1]["error"] == ""
 
 
+def test_bench_unknown_method_or_problem_is_a_row_error(tmp_path, capsys):
+    """A row naming no decider gets the decider's error and the others run."""
+    pa, pb = write_pair(tmp_path, cycle_structure(3), complete_structure(2))
+    good = {"a": pa, "b": pb, "k": 2, "method": "classical", "problem": "csp"}
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"rows": [{**good, "method": "magic"},
+                                      {**good, "problem": "graph"}, good]}))
+    code, out, _ = run(["bench", "--manifest", str(m), "--format", "json"], capsys)
+    assert code == 0
+    got = json.loads(out)["rows"]
+    assert [r["error"] for r in got] == [
+        "unknown method/problem combination 'magic'/'csp'",
+        "unknown method/problem combination 'classical'/'graph'", ""]
+    assert [r["verdict"] for r in got] == ["", "", "accept"]
+
+
 def test_bench_oracle_must_be_a_boolean(tmp_path, capsys):
     """oracle must be a JSON boolean: any other value is a row error and the
     row runs nothing; a missing oracle is false."""
@@ -403,6 +424,7 @@ K_ERROR = "error: k must be >= 1"
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     (["decide-csp", "<A>", "<other>", "--k", "2"],
      "error: signature mismatch between <A> and <other>"),
+    (["decide-csp", "<negsize>", "<A>", "--k", "2"], "error: negative size -1"),
     (["bench", "--manifest", "<missing>"], NO_FILE),
     (["bench", "--manifest", "<bad>"], "error: Expecting property name "
      "enclosed in double quotes: line 1 column 2 (char 1)"),
@@ -412,19 +434,21 @@ K_ERROR = "error: k must be >= 1"
     (["decide-csp", "<A>", "<A>", "--k", "-1"], K_ERROR),
     (["decide-iso", "<A>", "<A>", "--k", "0"], K_ERROR),
     (["decide-iso", "<A>", "<A>", "--k", "-1"], K_ERROR),
-], ids=["decide-missing", "decide-bad-json", "decide-signature", "bench-missing",
+], ids=["decide-missing", "decide-bad-json", "decide-signature",
+        "decide-negative-size", "bench-missing",
         "bench-bad-json", "bench-rows-3", "bench-bare-list", "csp-k-0",
         "csp-k-negative", "iso-k-0", "iso-k-negative"])
 def test_cli_error_is_one_line_and_exit_2(tmp_path, capsys, argv, expected):
     """Load, manifest and k errors reach main's handler: exit 2, nothing on
     stdout and exactly one `error: ...` line on stderr, no traceback."""
     paths = {n: str(tmp_path / f"{n}.json")
-             for n in ("A", "other", "bad", "rows3", "list", "missing")}
+             for n in ("A", "other", "bad", "rows3", "list", "negsize", "missing")}
     save_structure(cycle_structure(3), paths["A"])
     save_structure(Structure.make(Signature((("R", 1),)), 2, {"R": [(0,)]}),
                    paths["other"])
     for n, text in (("bad", "{not json"), ("rows3", '{"rows": 3}'),
-                    ("list", "[]")):
+                    ("list", "[]"), ("negsize", '{"signature": [], "size": -1, '
+                                                '"relations": {}}')):
         (tmp_path / f"{n}.json").write_text(text)
 
     def fill(text):
@@ -436,7 +460,7 @@ def test_cli_error_is_one_line_and_exit_2(tmp_path, capsys, argv, expected):
 
 
 @pytest.mark.parametrize("family", ["cfi", "tseitin"])
-@pytest.mark.parametrize("bad_line", ["twist 5 7 3", "0 2 7"])
+@pytest.mark.parametrize("bad_line", ["twist 5 7 3", "0 2 7", "0 0", "0 9"])
 def test_gen_refuses_malformed_graph_line(tmp_path, capsys, family, bad_line):
     g = tmp_path / "g.txt"
     g.write_text(f"4\n0 1\n1 2\n2 3\n3 0\n{bad_line}\n")
@@ -444,4 +468,15 @@ def test_gen_refuses_malformed_graph_line(tmp_path, capsys, family, bad_line):
     code, _, err = run(["gen", family, "--graph", str(g), *extra,
                         "--out-prefix", str(tmp_path / "out")], capsys)
     assert code == 2 and "error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+@pytest.mark.parametrize("family", ["cfi", "tseitin"])
+def test_gen_refuses_empty_graph_file(tmp_path, capsys, family):
+    g = tmp_path / "g.txt"
+    g.write_text("")
+    extra = ["--q", "2"] if family == "cfi" else []
+    code, _, err = run(["gen", family, "--graph", str(g), *extra,
+                        "--out-prefix", str(tmp_path / "out")], capsys)
+    assert (code, err) == (2, "error: empty graph file\n")
     assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]

@@ -526,6 +526,18 @@ def test_report_verdict_matches_survivors(rng):
         assert rep.accepted == (rep.sections_remaining > 0)
 
 
+def test_empty_universe_accepts():
+    """Over an empty A the empty section is the only one and nothing
+    constrains it: both methods accept, for csp into any B and for iso onto
+    an empty B, and each sweep returns at once (max level 0)."""
+    empty = graph_structure(0, [])
+    for b, problem in ((empty, "csp"), (complete_structure(2), "csp"),
+                       (empty, "iso")):
+        for method in ("classical", "cohomological"):
+            rep = run_decision(empty, b, 2, method, problem)[-1]
+            assert rep.verdict == "accept", (b.size, problem, method)
+
+
 def test_size_mismatch_iso_reject_with_reason():
     a = complete_structure(3)
     b = complete_structure(4)

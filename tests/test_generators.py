@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -195,8 +196,8 @@ def test_cfi_equations_random_bases_up_to_5_vertices(rng):
             continue
         trials += 1
         q = rng.choice((2, 3, 4))
-        spec = next(random_instances(rng.randrange(10**6), "twist", count=1,
-                                     graph=g, q=q))
+        r = random.Random(rng.randrange(10**6))
+        spec = CfiSpec(g, q, {e: r.randrange(q) for e in g.edge_list()})
         assert affine_solvable_mod(cfi_equations(spec)) == \
                (twist_total(spec) == 0)
 
@@ -272,8 +273,8 @@ def test_phi_matches_equation_solvability(rng):
                                   n=4, p=0.7))
         if any(g.degree(v) == 0 for v in range(g.n)):
             continue
-        spec = next(random_instances(rng.randrange(10**6), "twist", count=1,
-                                     graph=g, q=2))
+        r = random.Random(rng.randrange(10**6))
+        spec = CfiSpec(g, 2, {e: r.randrange(2) for e in g.edge_list()})
         a, b = phi_interpretation(cfi_structure(spec), 2)
         eq_solvable = affine_solvable_mod(cfi_equations(spec))
         assert (brute_force_hom(a, b, budget=10**7).status == "found") == eq_solvable
@@ -353,3 +354,10 @@ def test_isolated_vertex_detected():
     g = OrderedGraph.make(2, [])
     with pytest.raises(ValueError):
         flow_system(g, 2, {})
+
+
+def test_flow_system_refuses_modulus_below_2():
+    """q = 0 reaches AffineSystem's check too, not a division by zero."""
+    for q in (0, 1):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            flow_system(OrderedGraph.make(2, [(0, 1)]), q, {0: 1})

@@ -10,7 +10,7 @@ from cohomcsp import (LocalSection, SectionSet, Signature, Structure,
                       classical_fixpoint, enumerate_sections, flow_system,
                       forth_holds, is_partial_hom, is_partial_iso, named_graph,
                       run_decision, tseitin_system, wl_fixpoint, zero_twist)
-from cohomcsp.presheaf import _downward_close_inplace, _propagate
+from cohomcsp.presheaf import _propagate
 from conftest import (BIN_SIG, complete_structure, cycle_structure,
                       graph_structure, random_structure)
 from reference import (downward_close, enumerate_sections_per_context,
@@ -87,7 +87,7 @@ def test_enumerate_matches_naive(rng):
         assert {c: frozenset(v) for c, v in got.sections.items()} == \
                {c: frozenset(v) for c, v in want.items()}
         # the fixpoints rely on enumeration being downward closed
-        assert _downward_close_inplace(got.copy()) == []
+        assert same_sections(downward_close(got), got)
 
 
 def test_enumerate_matches_per_context_reference():
@@ -155,6 +155,8 @@ def test_bij_forth_examples():
         bij_forth_holds(enumerate_sections(edgeless, graph_structure(3, []), 2,
                                            "isom"),
                         (), ())
+    with pytest.raises(ValueError, match="below size k"):
+        bij_forth_holds(s, (0, 1), next(iter(s.sections[(0, 1)])))  # |dom| = k
 
 
 def test_remove_with_upset():
@@ -260,7 +262,7 @@ def test_propagate_leaves_set_downward_closed(rng):
             t = fixpoint(enumerate_sections(a, b, 2, kind))
             entries = sorted((c, s) for c in t.contexts() for s in t.sections[c])
             _propagate(t, rng.sample(entries, min(3, len(entries))), [])
-            assert _downward_close_inplace(t.copy()) == []
+            assert same_sections(downward_close(t), t)
 
 
 @settings(max_examples=100, deadline=None)
